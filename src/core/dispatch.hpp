@@ -17,12 +17,15 @@
 #pragma once
 
 #include <array>
+#include <type_traits>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "core/kernels/gates1q.hpp"
 #include "core/kernels/gates2q.hpp"
 #include "core/kernels/nonunitary.hpp"
+#include "core/space.hpp"
 #include "ir/circuit.hpp"
 #include "obs/flight.hpp"
 #include "obs/health.hpp"
@@ -87,14 +90,31 @@ private:
   }
 };
 
+/// Kernel table for LocalSpace at a given SIMD level: the scalar table
+/// with vectorized entries patched in where an implementation exists
+/// (defined in simd_kernels.cpp). Throws when the level is not built in.
+const KernelTable<LocalSpace>::Table& local_kernel_table(SimdLevel level);
+
+/// Stands in for DeviceGate::local_fn on LocalSpace, which has no
+/// partition to run owner-computes on.
+struct NoLocalFn {};
+
 /// A gate after upload: the frontend Gate plus its resolved kernel pointer
 /// and total work-item count (pairs for 1-qubit ops, quadruples for
-/// 2-qubit ops, amplitudes for measure_all).
+/// 2-qubit ops, amplitudes for measure_all). On a partitioned Space,
+/// `local_fn` is also bound for a unitary gate whose operands all lie
+/// below the partition bits: each worker's slice of such a gate is
+/// exactly its own partition, so it runs owner-computes on local_view().
+/// On LocalSpace the member is empty and takes no space: a wider
+/// uploaded gate measurably slowed SingleSim's many short VQE runs.
 template <class Space>
 struct DeviceGate {
   KernelFn<Space> fn;
   Gate g;
   IdxType work;
+  [[no_unique_address]] std::conditional_t<kPartitioned<Space>,
+                                           KernelFn<LocalSpace>, NoLocalFn>
+      local_fn{};
 };
 
 /// Work items a gate contributes for an n-qubit register.
@@ -112,9 +132,13 @@ inline IdxType gate_work_items(const Gate& g, IdxType n) {
 /// "Upload" a circuit: resolve every gate's kernel pointer from the
 /// preloaded table. Pure CPU-side table lookups (the paper's point: the
 /// cost is O(#ops) symbol fetches at init + O(#gates) pointer copies here).
+/// Partitioned backends pass `local_table` and their partition exponent
+/// `lg_part` to also bind DeviceGate::local_fn for PE-local gates.
 template <class Space>
-std::vector<DeviceGate<Space>> upload_circuit(const Circuit& circuit,
-                                              const typename KernelTable<Space>::Table& table) {
+std::vector<DeviceGate<Space>> upload_circuit(
+    const Circuit& circuit, const typename KernelTable<Space>::Table& table,
+    const KernelTable<LocalSpace>::Table* local_table = nullptr,
+    IdxType lg_part = 0) {
   std::vector<DeviceGate<Space>> out;
   out.reserve(circuit.gates().size());
   const IdxType n = circuit.n_qubits();
@@ -123,7 +147,14 @@ std::vector<DeviceGate<Space>> upload_circuit(const Circuit& circuit,
     SVSIM_CHECK(fn != nullptr,
                 std::string("no kernel for op ") + op_name(g.op) +
                     " (compound ops must be lowered before upload)");
-    out.push_back(DeviceGate<Space>{fn, g, gate_work_items(g, n)});
+    DeviceGate<Space> dg{fn, g, gate_work_items(g, n)};
+    if constexpr (kPartitioned<Space>) {
+      if (local_table != nullptr && is_unitary_op(g.op) &&
+          g.op != OP::BARRIER && g.qb0 < lg_part && g.qb1 < lg_part) {
+        dg.local_fn = (*local_table)[static_cast<int>(g.op)];
+      }
+    }
+    out.push_back(dg);
   }
   return out;
 }
@@ -155,8 +186,8 @@ inline bool health_checkpoint(const Space& sp, obs::HealthMonitor* health,
                               obs::FlightRing* ring, std::uint64_t gate_id) {
   double norm2 = 0;
   std::uint64_t bad = 0;
-  obs::scan_amplitudes(sp.local_real(), sp.local_imag(), sp.local_count(),
-                       &norm2, &bad);
+  const LocalSpace own = sp.local_view();
+  obs::scan_amplitudes(own.real, own.imag, own.dim, &norm2, &bad);
   const double g_norm2 =
       static_cast<double>(sp.reduce_sum(static_cast<ValType>(norm2)));
   // Counts are far below 2^53, so the ValType reduction is exact.
@@ -171,6 +202,24 @@ inline bool health_checkpoint(const Space& sp, obs::HealthMonitor* health,
     ring->push(e);
   }
   return health->should_abort(g_norm2, g_bad);
+}
+
+/// Run work items [begin, end) of `dg` on this worker, where `own_first`
+/// is the first work item inside the worker's own partition. A gate bound
+/// to a local kernel touches only that partition (owner-computes), so it
+/// runs on local_view() with partition-relative items; anything else, and
+/// every gate on LocalSpace, goes through the Space's own accessors.
+template <class Space>
+inline void run_items(const DeviceGate<Space>& dg, const Space& sp,
+                      IdxType begin, IdxType end, IdxType own_first) {
+  if constexpr (kPartitioned<Space>) {
+    if (dg.local_fn != nullptr) {
+      dg.local_fn(dg.g, sp.local_view(), begin - own_first,
+                  end - own_first);
+      return;
+    }
+  }
+  dg.fn(dg.g, sp, begin, end);
 }
 
 /// Amplitudes one work item of `g` touches (progress accounting).
@@ -228,7 +277,8 @@ void simulation_kernel(const std::vector<DeviceGate<Space>>& circuit,
       const IdxType per = (dg.work + nw - 1) / nw;
       const IdxType begin = per * me < dg.work ? per * me : dg.work;
       const IdxType end = begin + per < dg.work ? begin + per : dg.work;
-      dg.fn(dg.g, sp, begin, end);
+      // A local gate's slice is this worker's partition: it starts there.
+      detail::run_items(dg, sp, begin, end, begin);
       sp.sync();
       if (pslot != nullptr) {
         pslot->publish_gate(gate_id,

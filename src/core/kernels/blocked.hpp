@@ -7,8 +7,8 @@
 // executor walks the (local partition of the) state vector in
 // cache-resident blocks and applies the *entire window* to each block —
 // one memory sweep per window. Inside the block loop the same preloaded
-// function pointers fire (so specialized/SIMD kernels, per-gate obs::Span
-// profiling and the Spaces' traffic counting all keep working); the index
+// function pointers fire (so specialized/SIMD kernels and per-gate
+// obs::Span profiling keep working); the index
 // maps of Eq. (1)/(2) make the sub-range trivial: with all active qubits
 // < b, work items [blk·2^(b-1), (blk+1)·2^(b-1)) (pairs; 2^(b-2) for
 // quadruples) address exactly amplitudes [blk·2^b, (blk+1)·2^b).
@@ -24,6 +24,9 @@
 // clamps b <= lg_part), so within a window no worker touches remote
 // amplitudes and the per-gate global sync collapses to ONE sync per
 // window — the blocked path saves barriers as well as memory traffic.
+// The window runs owner-computes on the worker's local_view() with
+// partition-relative block indices (the gates' local kernels), so it
+// issues no one-sided access at all (DESIGN.md §13).
 #pragma once
 
 #include <cmath>
@@ -387,10 +390,11 @@ void build_window_actions(const std::vector<DeviceGate<Space>>& circuit,
 /// Multiply every amplitude the table touches in the block at `base` by
 /// its phase: the gated half when a gating qubit exists, all 2^b
 /// otherwise; through the table when built, per-amplitude product of the
-/// kept terms when the budget ran out.
-template <class Space>
-void apply_diag_table(const Space& sp, const DiagTable& T, IdxType base,
-                      IdxType b) {
+/// kept terms when the budget ran out. Every term of a DiagTable lies
+/// below b, so only the low b bits of an index select its phase and
+/// `base` may be global or partition-relative alike.
+inline void apply_diag_table(const LocalSpace& sp, const DiagTable& T,
+                             IdxType base, IdxType b) {
   if (T.identity) return;
   const bool gated = T.gate_qubit >= 0;
   const IdxType count = gated ? pow2(b - 1) : pow2(b);
@@ -423,10 +427,13 @@ void apply_diag_table(const Space& sp, const DiagTable& T, IdxType base,
   }
 }
 
-/// Apply a collapsed diagonal run to the block at amplitude base `base`.
+/// Apply a collapsed diagonal run to the block at global amplitude base
+/// `base`, which `sp` (the worker's own partition) holds at `at`: the
+/// high-qubit phases and the mixed-term pattern are selected by `base`,
+/// the amplitudes are reached at `at`.
 template <class Space>
-void apply_diag_run(const Space& sp, const WindowAction<Space>& a,
-                    IdxType base, IdxType b) {
+void apply_diag_run(const LocalSpace& sp, const WindowAction<Space>& a,
+                    IdxType base, IdxType at, IdxType b) {
   if (!a.high_terms.empty()) {
     // Both operands of these terms live in the high bits: one scalar for
     // the whole block, evaluated at `base`. Skip the sweep when it is
@@ -444,7 +451,7 @@ void apply_diag_run(const Space& sp, const WindowAction<Space>& a,
     if (!(sr == 1 && si == 0)) {
       const IdxType len = pow2(b);
       for (IdxType t = 0; t < len; ++t) {
-        const IdxType idx = base + t;
+        const IdxType idx = at + t;
         const ValType r = sp.get_real(idx);
         const ValType im = sp.get_imag(idx);
         sp.set_real(idx, sr * r - si * im);
@@ -452,9 +459,9 @@ void apply_diag_run(const Space& sp, const WindowAction<Space>& a,
       }
     }
   }
-  apply_diag_table(sp, a.low, base, b);
+  apply_diag_table(sp, a.low, at, b);
   for (const DiagHighGroup& grp : a.groups) {
-    apply_diag_table(sp, grp.pattern[(base >> grp.high_qubit) & 1], base, b);
+    apply_diag_table(sp, grp.pattern[(base >> grp.high_qubit) & 1], at, b);
   }
 }
 
@@ -541,8 +548,10 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
           : 0;
   const std::uint64_t n_gates = circuit.size();
   const IdxType b = ex.block_exp;
-  const IdxType lg_local = log2_exact(sp.local_count());
-  const IdxType blocks_per_worker = pow2(lg_local - b);
+  // Blocked windows are PE-local by construction (b <= lg_part): they run
+  // on the worker's own partition with partition-relative block indices.
+  const LocalSpace own = sp.local_view();
+  const IdxType blocks_per_worker = pow2(log2_exact(own.dim) - b);
   const IdxType first_blk = me * blocks_per_worker;
   std::uint64_t gate_id = 0;
   for (std::size_t wi = 0; wi < ex.sched.windows.size(); ++wi) {
@@ -563,7 +572,7 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
           const IdxType per = (dg.work + nw - 1) / nw;
           const IdxType begin = per * me < dg.work ? per * me : dg.work;
           const IdxType end = begin + per < dg.work ? begin + per : dg.work;
-          dg.fn(dg.g, sp, begin, end);
+          detail::run_items(dg, sp, begin, end, begin);
           sp.sync();
           if (pslot != nullptr) {
             pslot->publish_gate(gate_id,
@@ -601,10 +610,12 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
         if (a.kind == WindowAction<Space>::Kind::kGate) {
           const DeviceGate<Space>& dg =
               circuit[static_cast<std::size_t>(a.gate_index)];
-          dg.fn(dg.g, sp, blk * a.work_per_block,
-                (blk + 1) * a.work_per_block);
+          detail::run_items(dg, sp, blk * a.work_per_block,
+                            (blk + 1) * a.work_per_block,
+                            first_blk * a.work_per_block);
         } else {
-          kernels::blocked_detail::apply_diag_run(sp, a, base, b);
+          kernels::blocked_detail::apply_diag_run(
+              own, a, base, base - (first_blk << b), b);
         }
       }
       if (pslot != nullptr) {
@@ -635,7 +646,7 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
     gate_id += static_cast<std::uint64_t>(w.n_gates);
     // No publish needed here: the last block's interpolated publish above
     // already landed exactly on `gate_id`, with the window's one sweep
-    // (local_count amplitudes) accumulated block by block.
+    // (own.dim amplitudes) accumulated block by block.
     // The cadence is evaluated at window granularity: one checkpoint when
     // the window crosses a multiple of `every` (or ends the circuit).
     if (every != 0 && (gate_id / every > prev / every || gate_id == n_gates)) {

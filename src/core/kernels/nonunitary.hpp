@@ -13,10 +13,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/kernels/apply.hpp"
+#include "core/space.hpp"
 
 namespace svsim::kernels {
 
@@ -71,6 +73,28 @@ void kern_measure(const Gate& g, const Space& sp, IdxType begin,
   // The simulation-kernel loop issues the closing sync.
 }
 
+/// The cumulative-distribution walk behind measure_all: visit logical
+/// basis states k = 0, 1, ... in order, accumulating `norm2(k)` = |amp|²
+/// of state k, and hand each sorted draw the first k whose running sum
+/// exceeds it. Stops once every draw is placed.
+template <class Norm2>
+void sweep_cdf(const std::vector<std::pair<ValType, IdxType>>& draws,
+               IdxType dim, IdxType* results, Norm2&& norm2) {
+  ValType cum = 0;
+  IdxType k = 0;
+  std::size_t d = 0;
+  while (d < draws.size() && k < dim) {
+    cum += norm2(k);
+    while (d < draws.size() && draws[d].first < cum) {
+      results[draws[d].second] = k;
+      ++d;
+    }
+    ++k;
+  }
+  // Numerical tail: norm may be marginally below the largest draw.
+  for (; d < draws.size(); ++d) results[draws[d].second] = dim - 1;
+}
+
 /// measure_all: sample mctx->n_shots basis states into mctx->results
 /// WITHOUT collapsing the state (sampling semantics, like the paper's MA
 /// used for the repeated-shot workloads). Work range indexes amplitudes.
@@ -85,42 +109,57 @@ void kern_measure_all(const Gate& g, const Space& sp, IdxType, IdxType) {
   for (IdxType s = 0; s < shots; ++s) {
     draws.emplace_back(sp.collective_uniform(), s);
   }
-  if (sp.worker() == 0) {
-    // Virtual readout permutation (ir/remap): when the circuit was
-    // remapped, this MA carries a layout-snapshot row index in its cbit;
-    // sweep the cumulative distribution in LOGICAL order — reading the
-    // amplitude of logical basis state k at its physical home — and
-    // report logical bitstrings. The sweep order is what ties each
-    // sorted draw to its outcome, so it must match the unremapped run.
-    const IdxType* row = nullptr;
-    if (sp.mctx->ma_layouts != nullptr && g.cbit >= 0) {
-      row = sp.mctx->ma_layouts + g.cbit * sp.mctx->n_qubits;
-      bool identity = true;
-      for (IdxType b = 0; b < sp.mctx->n_qubits; ++b) {
-        if (row[b] != b) { identity = false; break; }
-      }
-      if (identity) row = nullptr;
+  if (sp.worker() != 0) return;
+  // Virtual readout permutation (ir/remap): when the circuit was
+  // remapped, this MA carries a layout-snapshot row index in its cbit;
+  // sweep the cumulative distribution in LOGICAL order — reading the
+  // amplitude of logical basis state k at its physical home — and report
+  // logical bitstrings. The sweep order is what ties each sorted draw to
+  // its outcome, so it must match the unremapped run.
+  const IdxType* row = nullptr;
+  if (sp.mctx->ma_layouts != nullptr && g.cbit >= 0) {
+    row = sp.mctx->ma_layouts + g.cbit * sp.mctx->n_qubits;
+    bool identity = true;
+    for (IdxType b = 0; b < sp.mctx->n_qubits; ++b) {
+      if (row[b] != b) { identity = false; break; }
     }
-    std::sort(draws.begin(), draws.end());
-    ValType cum = 0;
-    IdxType k = 0;
-    std::size_t d = 0;
-    while (d < draws.size() && k < sp.dim) {
-      const IdxType phys =
-          row != nullptr ? permute_bits(k, row, sp.mctx->n_qubits) : k;
+    if (identity) row = nullptr;
+  }
+  std::optional<BitPermuter> perm;
+  if (row != nullptr) perm.emplace(row, sp.mctx->n_qubits);
+  const auto phys_of = [&](IdxType k) { return perm ? (*perm)(k) : k; };
+  std::sort(draws.begin(), draws.end());
+  if constexpr (kPartitioned<Space>) {
+    // Owner-computes sweep: resolve every partition once (shmem_ptr) and
+    // read through plain loads, tallying reads per owner; the tallies
+    // fold into the traffic counters afterwards, exactly as per-element
+    // gets would have counted them.
+    const auto nw = static_cast<std::size_t>(sp.n_workers());
+    std::vector<const ValType*> re(nw);
+    std::vector<const ValType*> im(nw);
+    std::vector<std::uint64_t> reads(nw, 0);
+    for (std::size_t w = 0; w < nw; ++w) {
+      re[w] = sp.part_real(static_cast<int>(w));
+      im[w] = sp.part_imag(static_cast<int>(w));
+    }
+    const IdxType mask = pow2(sp.lg_part) - 1;
+    sweep_cdf(draws, sp.dim, sp.mctx->results, [&](IdxType k) {
+      const IdxType phys = phys_of(k);
+      const auto w = static_cast<std::size_t>(phys >> sp.lg_part);
+      const auto off = static_cast<std::size_t>(phys & mask);
+      ++reads[w];
+      return re[w][off] * re[w][off] + im[w][off] * im[w][off];
+    });
+    for (std::size_t w = 0; w < nw; ++w) {
+      if (reads[w] != 0) sp.count_reads(static_cast<int>(w), 2 * reads[w]);
+    }
+  } else {
+    sweep_cdf(draws, sp.dim, sp.mctx->results, [&](IdxType k) {
+      const IdxType phys = phys_of(k);
       const ValType r = sp.get_real(phys);
-      const ValType im = sp.get_imag(phys);
-      cum += r * r + im * im;
-      while (d < draws.size() && draws[d].first < cum) {
-        sp.mctx->results[draws[d].second] = k;
-        ++d;
-      }
-      ++k;
-    }
-    // Numerical tail: norm may be marginally below the largest draw.
-    for (; d < draws.size(); ++d) {
-      sp.mctx->results[draws[d].second] = sp.dim - 1;
-    }
+      const ValType i = sp.get_imag(phys);
+      return r * r + i * i;
+    });
   }
 }
 

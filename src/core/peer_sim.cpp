@@ -19,6 +19,7 @@ PeerSim::PeerSim(IdxType n_qubits, int n_devices, SimConfig cfg)
       dim_(obs::admit_dim("peer", n_qubits, n_devices, 1, cfg.mem_limit)),
       n_dev_(n_devices),
       cfg_(cfg),
+      local_table_(&local_kernel_table(cfg.simd)),
       cbits_(static_cast<std::size_t>(n_qubits), 0) {
   SVSIM_CHECK(n_devices >= 1 && is_pow2(n_devices),
               "device count must be a power of two");
@@ -69,18 +70,18 @@ void PeerSim::execute(const Circuit& circuit) {
   mctx_.n_qubits = n_;
   const Circuit& exec = rm ? rm->circuit : circuit;
 
-  const auto device_circuit =
-      upload_circuit<PeerSpace>(exec, KernelTable<PeerSpace>::get());
+  const auto device_circuit = upload_circuit<PeerSpace>(
+      exec, KernelTable<PeerSpace>::get(), local_table_, lg_part_);
 
   shmem::Barrier grid(n_dev_); // the multi-device grid (grid.sync())
   traffic_.assign(static_cast<std::size_t>(n_dev_), PeerTraffic{});
-  dest_counts_.assign(
-      static_cast<std::size_t>(n_dev_) * static_cast<std::size_t>(n_dev_), 0);
+  const auto n_dev = static_cast<std::size_t>(n_dev_);
+  constexpr std::size_t kLine = kBufferAlign / sizeof(std::uint64_t);
+  const std::size_t stride = (n_dev + kLine - 1) / kLine * kLine;
+  dest_counts_.allocate(n_dev * stride); // zero-filled
   if (cfg_.count_traffic) {
-    for (int d = 0; d < n_dev_; ++d) {
-      traffic_[static_cast<std::size_t>(d)].per_dest =
-          dest_counts_.data() + static_cast<std::size_t>(d) *
-                                    static_cast<std::size_t>(n_dev_);
+    for (std::size_t d = 0; d < n_dev; ++d) {
+      traffic_[d].per_dest = dest_counts_.data() + d * stride;
     }
   }
 
@@ -170,9 +171,12 @@ void PeerSim::execute(const Circuit& circuit) {
   if (cfg_.count_traffic) {
     // Element accesses -> bytes: every peer access moves one ValType.
     rep.matrix.n = n_dev_;
-    rep.matrix.bytes.assign(dest_counts_.size(), 0);
-    for (std::size_t i = 0; i < dest_counts_.size(); ++i) {
-      rep.matrix.bytes[i] = dest_counts_[i] * sizeof(ValType);
+    rep.matrix.bytes.assign(n_dev * n_dev, 0);
+    for (std::size_t d = 0; d < n_dev; ++d) {
+      for (std::size_t j = 0; j < n_dev; ++j) {
+        rep.matrix.bytes[d * n_dev + j] =
+            dest_counts_[d * stride + j] * sizeof(ValType);
+      }
     }
   }
   if (progress != nullptr) progress->end_run(obs::to_json(rep));

@@ -7,6 +7,10 @@
 // GPUDirect peer access / Infinity Fabric. One worker thread drives each
 // device (the paper's one-OpenMP-thread-per-GPU runtime); every gate is a
 // grid-stride slice per device followed by a multi-device grid sync.
+// Gates on device-local qubits and blocked windows run owner-computes on
+// the device's own partition (DESIGN.md §13); only gates on a
+// partition-selecting qubit, and measure/reset, go through the pointer
+// array.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +53,8 @@ private:
   int n_dev_;
   IdxType lg_part_; // log2(amplitudes per device)
   SimConfig cfg_;
+  // Owner-computes kernels for PE-local gates, resolved at construction.
+  const KernelTable<LocalSpace>::Table* local_table_;
 
   // One partition per device — "SAFE_ALOC_GPU(sv_real_ptr[d], ...)".
   std::vector<obs::TrackedBuffer<ValType>> real_parts_;
@@ -69,10 +75,11 @@ private:
   MeasureCtx mctx_;
   std::vector<Rng> rngs_; // per-worker replicas, same seed (lockstep)
   std::vector<ValType> scratch_;
-  std::vector<PeerTraffic> traffic_;
-  // Flat n_dev×n_dev element-access counts (row d = device d's accesses by
-  // owning partition); each PeerTraffic::per_dest points at its row.
-  std::vector<std::uint64_t> dest_counts_;
+  std::vector<PeerTraffic> traffic_; // one cache line per device
+  // n_dev rows of element-access counts (row d = device d's accesses by
+  // owning partition), each padded to whole cache lines so no two devices
+  // share one; each PeerTraffic::per_dest points at its row.
+  AlignedBuffer<std::uint64_t> dest_counts_;
 };
 
 } // namespace svsim

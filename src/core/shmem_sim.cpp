@@ -27,6 +27,7 @@ ShmemSim::ShmemSim(IdxType n_qubits, int n_pes, SimConfig cfg,
       dim_(obs::admit_dim("shmem", n_qubits, n_pes, 1, cfg.mem_limit)),
       n_pes_(n_pes),
       cfg_(cfg),
+      local_table_(&local_kernel_table(cfg.simd)),
       runtime_(n_pes, heap_bytes != 0 ? heap_bytes
                                       : default_heap_bytes(n_qubits, n_pes)),
       cbits_(static_cast<std::size_t>(n_qubits), 0) {
@@ -100,8 +101,8 @@ void ShmemSim::execute(const Circuit& circuit) {
   mctx_.n_qubits = n_;
   const Circuit& exec = rm ? rm->circuit : circuit;
 
-  const auto device_circuit =
-      upload_circuit<ShmemSpace>(exec, KernelTable<ShmemSpace>::get());
+  const auto device_circuit = upload_circuit<ShmemSpace>(
+      exec, KernelTable<ShmemSpace>::get(), local_table_, lg_part_);
 
   std::unique_ptr<obs::GateRecorder> rec;
   if (profiling_on(cfg_)) {

@@ -2,9 +2,11 @@
 //
 // Each SHMEM processing element owns one simulator partition: the state
 // vector is allocated in the symmetric heap (nvshmem_malloc), partitioned
-// evenly by natural array order, and every amplitude access from a gate
-// kernel is a one-sided fine-grained get/put ("double_g"/"double_p") with
-// a barrier_all after each gate. The PE team is provided by the
+// evenly by natural array order, and a gate on a partition-selecting
+// qubit reaches amplitudes through one-sided fine-grained get/put
+// ("double_g"/"double_p"), with a barrier_all after each gate. Gates on
+// PE-local qubits and blocked windows run owner-computes on the PE's own
+// partition (DESIGN.md §13). The PE team is provided by the
 // svsim::shmem runtime (DESIGN.md explains the substitution for
 // OpenSHMEM/NVSHMEM); traffic counters record the exact local/remote
 // communication volume the machine model prices for Figures 12-13.
@@ -55,6 +57,8 @@ private:
   int n_pes_;
   IdxType lg_part_;
   SimConfig cfg_;
+  // Owner-computes kernels for PE-local gates, resolved at construction.
+  const KernelTable<LocalSpace>::Table* local_table_;
 
   shmem::Runtime runtime_;
   // Per-PE pointers into the symmetric allocation (valid for the lifetime

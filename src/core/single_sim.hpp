@@ -15,11 +15,6 @@
 
 namespace svsim {
 
-/// Kernel table for LocalSpace at a given SIMD level: the scalar table
-/// with vectorized entries patched in where an implementation exists
-/// (defined in simd_kernels.cpp).
-const KernelTable<LocalSpace>::Table& local_kernel_table(SimdLevel level);
-
 class SingleSim final : public Simulator {
 public:
   explicit SingleSim(IdxType n_qubits, SimConfig cfg = {});

@@ -9,9 +9,20 @@
 //                  construction of Listing 4 (pos / sv_num_per_dev selects
 //                  the owner, pos % sv_num_per_dev the local offset).
 //  * ShmemSpace  — multi-node scale-out: the state vector lives in the
-//                  SHMEM symmetric heap and every element access is a
-//                  one-sided get/put, exactly Listing 5's
+//                  SHMEM symmetric heap and an element access through the
+//                  policy is a one-sided get/put, Listing 5's
 //                  nvshmem_double_g / nvshmem_double_p pattern.
+//
+// Owner-computes (DESIGN.md §13): every policy also exposes local_view(),
+// a LocalSpace over the worker's own partition. The gate loop runs gates
+// whose operands are all below the partition bits, and blocked windows,
+// on that view with partition-relative indices, so only gates on a
+// partition-selecting qubit and measure/reset (which need the
+// collectives) pay the per-element one-sided access above. Sweeps that
+// read other partitions wholesale resolve them once through part_real /
+// part_imag (the shmem_ptr / nvshmem_ptr idiom) and account the reads in
+// bulk with count_reads, leaving the traffic counters exactly as
+// per-element access would.
 //
 // Besides element access, the policy carries the small SPMD protocol the
 // non-unitary kernels (measure/reset) need: worker identity, a barrier, a
@@ -20,6 +31,8 @@
 // advances it only inside collective draws, so the replicas stay in
 // lockstep).
 #pragma once
+
+#include <type_traits>
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
@@ -66,18 +79,22 @@ struct LocalSpace {
   ValType reduce_sum(ValType v) const { return v; }
   ValType collective_uniform() const { return rng->next_double(); }
 
-  // --- local partition view (health-monitor scans) ---
-  const ValType* local_real() const { return real; }
-  const ValType* local_imag() const { return imag; }
-  IdxType local_count() const { return dim; }
+  // --- the worker's own partition: all of it ---
+  LocalSpace local_view() const { return *this; }
 };
+
+/// A partitioned Space (PeerSpace, ShmemSpace): the gate loop runs
+/// owner-computes work on its local_view().
+template <class Space>
+inline constexpr bool kPartitioned = !std::is_same_v<Space, LocalSpace>;
 
 /// Per-device communication counters for the peer tier (local vs
 /// remote-partition element accesses through the pointer array). When
 /// `per_dest` points at an n_workers-sized array, every access is also
 /// attributed to the partition it touched — the raw data for the run
-/// report's PE×PE traffic matrix.
-struct PeerTraffic {
+/// report's PE×PE traffic matrix. One cache line per device, so the
+/// devices' counters never share a line.
+struct alignas(64) PeerTraffic {
   std::uint64_t local_access = 0;
   std::uint64_t remote_access = 0;
   std::uint64_t* per_dest = nullptr; // element accesses by owning device
@@ -102,17 +119,25 @@ struct PeerSpace {
 
   IdxType part_mask() const { return pow2(lg_part) - 1; }
 
+  // Peer counts reads and writes alike, so one access = one "read".
   void count(IdxType i) const {
+    count_reads(static_cast<int>(i >> lg_part), 1);
+  }
+
+  /// Account `n` accesses to device `dest`'s partition (bulk form of
+  /// count(), for sweeps that read through part_real / part_imag).
+  void count_reads(int dest, std::uint64_t n) const {
     if (traffic != nullptr) {
-      const IdxType dest = i >> lg_part;
       if (dest == worker_id) {
-        ++traffic->local_access;
+        traffic->local_access += n;
       } else {
-        ++traffic->remote_access;
+        traffic->remote_access += n;
       }
-      if (traffic->per_dest != nullptr) ++traffic->per_dest[dest];
+      if (traffic->per_dest != nullptr) traffic->per_dest[dest] += n;
     }
   }
+  const ValType* part_real(int w) const { return real_parts[w]; }
+  const ValType* part_imag(int w) const { return imag_parts[w]; }
 
   ValType get_real(IdxType i) const {
     count(i);
@@ -149,10 +174,11 @@ struct PeerSpace {
 
   ValType collective_uniform() const { return rng->next_double(); }
 
-  // --- local partition view (health-monitor scans) ---
-  const ValType* local_real() const { return real_parts[worker_id]; }
-  const ValType* local_imag() const { return imag_parts[worker_id]; }
-  IdxType local_count() const { return pow2(lg_part); }
+  // --- owner-computes view of this device's partition ---
+  LocalSpace local_view() const {
+    return LocalSpace{real_parts[worker_id], imag_parts[worker_id],
+                      pow2(lg_part), mctx, rng};
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -190,10 +216,21 @@ struct ShmemSpace {
   ValType reduce_sum(ValType v) const { return ctx->all_reduce_sum(v); }
   ValType collective_uniform() const { return rng->next_double(); }
 
-  // --- local partition view (health-monitor scans) ---
-  const ValType* local_real() const { return real_sym; }
-  const ValType* local_imag() const { return imag_sym; }
-  IdxType local_count() const { return pow2(lg_part); }
+  // --- partition pointers for bulk sweeps (shmem_ptr) ---
+  const ValType* part_real(int pe) const {
+    return ctx->translate(real_sym, pe);
+  }
+  const ValType* part_imag(int pe) const {
+    return ctx->translate(imag_sym, pe);
+  }
+  void count_reads(int pe, std::uint64_t n) const {
+    ctx->account_gets(pe, n, sizeof(ValType));
+  }
+
+  // --- owner-computes view of this PE's partition ---
+  LocalSpace local_view() const {
+    return LocalSpace{real_sym, imag_sym, pow2(lg_part), mctx, rng};
+  }
 };
 
 } // namespace svsim

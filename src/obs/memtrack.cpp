@@ -85,6 +85,9 @@ int env_memtrack() {
 MemRegistry& MemRegistry::global() {
   // Deliberately not leaked (unlike Httpd/Trace): the destructor joins
   // the sampler thread, so TSan sees every thread accounted for at exit.
+  // The sampler publishes gauges into Registry::global() until joined, so
+  // that Registry is built first and therefore destroyed after this one.
+  Registry::global();
   static MemRegistry reg;
   return reg;
 }

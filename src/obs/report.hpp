@@ -32,8 +32,10 @@ namespace svsim::obs {
 
 /// Communication totals in the vocabulary all three distributed tiers
 /// share. "Ops" are element-granular one-sided accesses (peer pointer
-/// dereferences, SHMEM get/put); "messages" are the coarse baseline's
-/// whole-partition sends. Single-device backends leave everything zero.
+/// dereferences, SHMEM get/put); owner-computes work on a worker's own
+/// partition is not one (DESIGN.md §13). "Messages" are the coarse
+/// baseline's whole-partition sends. Single-device backends leave
+/// everything zero.
 struct CommStats {
   std::uint64_t local_ops = 0;
   std::uint64_t remote_ops = 0;

@@ -25,10 +25,9 @@ std::string TrafficStats::summary() const {
 // ---------------------------------------------------------------------------
 
 Ctx::Ctx(Runtime* rt, int pe)
-    : rt_(rt), pe_(pe),
+    : rt_(rt), pe_(pe), n_pes_(rt->n_pes_), heap_bytes_(rt->heap_bytes_),
+      arenas_(rt->arenas_.data()),
       dest_bytes_(static_cast<std::size_t>(rt->n_pes_), 0) {}
-
-int Ctx::n_pes() const { return rt_->n_pes_; }
 
 void* Ctx::malloc_sym_bytes(std::size_t bytes, std::size_t align) {
   SVSIM_CHECK(align <= kBufferAlign, "over-aligned symmetric allocation");
@@ -68,16 +67,6 @@ void* Ctx::malloc_sym_bytes(std::size_t bytes, std::size_t align) {
 
 void Ctx::reset_heap() {
   rt_->barrier_.arrive_and_wait([rt = rt_] { rt->heap_brk_ = 0; });
-}
-
-char* Ctx::translate_bytes(const char* sym, int target_pe) const {
-  SVSIM_CHECK(target_pe >= 0 && target_pe < rt_->n_pes_, "bad PE id");
-  const char* my_base = rt_->arenas_[static_cast<std::size_t>(pe_)].data();
-  const std::ptrdiff_t offset = sym - my_base;
-  SVSIM_CHECK(offset >= 0 &&
-                  static_cast<std::size_t>(offset) < rt_->heap_bytes_,
-              "address is not in the symmetric heap");
-  return rt_->arenas_[static_cast<std::size_t>(target_pe)].data() + offset;
 }
 
 void Ctx::barrier_all() {

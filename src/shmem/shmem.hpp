@@ -73,7 +73,7 @@ class Runtime;
 class Ctx {
 public:
   int pe() const { return pe_; }
-  int n_pes() const;
+  int n_pes() const { return n_pes_; }
 
   // --- Symmetric allocation -------------------------------------------
 
@@ -176,27 +176,42 @@ public:
   /// traffic().bytes_got + bytes_put by construction.
   const std::vector<std::uint64_t>& dest_bytes() const { return dest_bytes_; }
 
-  /// Translate a local symmetric address to the target PE's copy.
-  /// Exposed for the peer-access tier (scale-up) which shares a pointer
-  /// array; also used internally by get/put.
+  /// Translate a local symmetric address to the target PE's copy — the
+  /// shmem_ptr / nvshmem_ptr idiom: a sweep that resolves each partition
+  /// once can then read it through plain loads (and account the reads in
+  /// bulk with account_gets). Also the address step of every g/p/get/put,
+  /// so it is inline: the Ctx caches the arena table, PE count and heap
+  /// size at construction, and both checks stay on the path.
   template <typename T>
   T* translate(const T* sym, int target_pe) const {
+    SVSIM_CHECK(target_pe >= 0 && target_pe < n_pes_, "bad PE id");
+    const std::ptrdiff_t offset =
+        reinterpret_cast<const char*>(sym) -
+        arenas_[static_cast<std::size_t>(pe_)].data();
+    SVSIM_CHECK(offset >= 0 && static_cast<std::size_t>(offset) < heap_bytes_,
+                "address is not in the symmetric heap");
     return reinterpret_cast<T*>(
-        translate_bytes(reinterpret_cast<const char*>(sym), target_pe));
+        arenas_[static_cast<std::size_t>(target_pe)].data() + offset);
+  }
+
+  /// Account `n` scalar gets of `elem_bytes` each from `target_pe` that
+  /// were served through a translate()d pointer instead of g(): the
+  /// counters and the traffic row end exactly as if each had been a g().
+  void account_gets(int target_pe, std::uint64_t n, std::size_t elem_bytes) {
+    count_get(target_pe, n * elem_bytes, n);
   }
 
 private:
   friend class Runtime;
-  Ctx(Runtime* rt, int pe); // sizes dest_bytes_ to n_pes (defined in .cpp)
+  Ctx(Runtime* rt, int pe); // caches the arena table (defined in .cpp)
 
   void* malloc_sym_bytes(std::size_t bytes, std::size_t align);
-  char* translate_bytes(const char* sym, int target_pe) const;
 
-  void count_get(int target_pe, std::size_t bytes) {
+  void count_get(int target_pe, std::size_t bytes, std::uint64_t ops = 1) {
     if (target_pe == pe_) {
-      ++stats_.local_gets;
+      stats_.local_gets += ops;
     } else {
-      ++stats_.remote_gets;
+      stats_.remote_gets += ops;
     }
     stats_.bytes_got += bytes;
     dest_bytes_[static_cast<std::size_t>(target_pe)] += bytes;
@@ -214,6 +229,9 @@ private:
 
   Runtime* rt_;
   int pe_;
+  int n_pes_;
+  std::size_t heap_bytes_;
+  AlignedBuffer<char>* arenas_; // every PE's arena (Runtime::arenas_)
   TrafficStats stats_;
   std::vector<std::uint64_t> dest_bytes_; // bytes issued per target PE
 };

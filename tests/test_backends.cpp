@@ -6,6 +6,7 @@
 // model predicts (low qubits = no remote traffic; high qubits = heavy).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -15,6 +16,7 @@
 #include "core/peer_sim.hpp"
 #include "core/shmem_sim.hpp"
 #include "core/single_sim.hpp"
+#include "ir/remap.hpp"
 
 namespace svsim {
 namespace {
@@ -218,6 +220,309 @@ TEST(CoarseMsgCounters, ExchangeOnlyForHighQubits) {
   EXPECT_EQ(s.local_gates, 2u);
   EXPECT_EQ(s.exchange_gates, 2u);
   EXPECT_GT(s.bytes, 0u);
+}
+
+// --- owner-computes execution (DESIGN.md §13) ---------------------------
+//
+// Gates whose operands all lie below the partition bits, and blocked
+// windows, run on each worker's own partition and issue no one-sided
+// access; gates on a partition qubit keep the per-element path, and the
+// measure-all sweep accounts its reads in bulk.
+
+/// Every element access the last run issued through the Space accessors:
+/// shmem one-sided gets + puts, peer pointer-array accesses.
+std::uint64_t one_sided_ops(const ShmemSim& sim) {
+  const shmem::TrafficStats t = sim.traffic();
+  return t.local_gets + t.remote_gets + t.local_puts + t.remote_puts;
+}
+std::uint64_t one_sided_ops(const PeerSim& sim) {
+  const PeerTraffic t = sim.traffic();
+  return t.local_access + t.remote_access;
+}
+
+/// The partitioned-backend configuration grid: 2 and 4 workers, blocked
+/// schedule (b = 2, many blocks per worker) and remap each on and off.
+template <typename Fn>
+void for_each_partitioned_config(Fn&& fn) {
+  for (const int workers : {2, 4}) {
+    for (const int sched : {0, 2}) {
+      for (const int remap : {0, 1}) {
+        SimConfig cfg;
+        cfg.sched_window = sched;
+        cfg.remap = remap;
+        SCOPED_TRACE(::testing::Message() << "workers=" << workers
+                                          << " sched=" << sched
+                                          << " remap=" << remap);
+        fn(workers, cfg);
+      }
+    }
+  }
+}
+
+/// A circuit whose every operand is below `lg_part`, with adjacent
+/// diagonal runs so the blocked schedule collapses some of them.
+Circuit local_only_circuit(IdxType n, IdxType lg_part) {
+  Circuit c(n, CompoundMode::kNative);
+  for (IdxType q = 0; q < lg_part; ++q) c.h(q);
+  for (IdxType q = 0; q + 1 < lg_part; ++q) c.cx(q, q + 1);
+  c.t(0).rz(0.3, 1).cz(0, lg_part - 1).cu1(0.7, 2, 0).rzz(0.4, 1, 3);
+  c.u3(0.1, 0.2, 0.3, lg_part - 1).swap(1, lg_part - 2).ry(0.9, 2);
+  c.crz(0.5, 3, 1).s(lg_part - 1).tdg(0).h(1);
+  return c;
+}
+
+TEST(OwnerComputes, LocalOnlyCircuitIssuesNoOneSidedAccess) {
+  const IdxType n = 8;
+  for_each_partitioned_config([&](int workers, const SimConfig& cfg) {
+    const IdxType lg_part = n - log2_exact(workers);
+    const Circuit c = local_only_circuit(n, lg_part);
+    SingleSim ref(n, cfg);
+    ShmemSim shmem(n, workers, cfg);
+    PeerSim peer(n, workers, cfg);
+    ref.run(c);
+    shmem.run(c);
+    peer.run(c);
+    EXPECT_EQ(one_sided_ops(shmem), 0u);
+    EXPECT_EQ(one_sided_ops(peer), 0u);
+    EXPECT_EQ(shmem.last_report().matrix.total(), 0u);
+    EXPECT_EQ(peer.last_report().matrix.total(), 0u);
+    EXPECT_EQ(shmem.last_report().remap.swaps_inserted, 0u);
+    EXPECT_LT(shmem.state().max_diff(ref.state()), 1e-12);
+    EXPECT_LT(peer.state().max_diff(ref.state()), 1e-12);
+  });
+}
+
+// Diagonal gates on a partition qubit join blocked windows: the collapsed
+// run picks its phases from the block's GLOBAL base while touching only
+// the worker's own partition.
+TEST(OwnerComputes, BlockedWindowWithPartitionDiagonalsStaysLocal) {
+  const IdxType n = 7;
+  for (const int workers : {2, 4}) {
+    SimConfig cfg;
+    cfg.sched_window = 2;
+    cfg.remap = 0;
+    Circuit c(n);
+    for (IdxType q = 0; q < n; ++q) c.h(q);               // per-gate
+    c.h(0).cz(0, n - 1).rz(0.4, n - 1).cu1(0.3, n - 2, 1); // one window
+    c.t(1).crz(0.8, n - 1, 0).cz(n - 2, n - 1).h(1);
+    SingleSim ref(n, cfg);
+    ShmemSim shmem(n, workers, cfg);
+    PeerSim peer(n, workers, cfg);
+    ref.run(c);
+    shmem.run(c);
+    peer.run(c);
+    ASSERT_TRUE(shmem.last_report().sched.active);
+    // Only the n leading H gates on partition qubits went one-sided.
+    const std::uint64_t top = static_cast<std::uint64_t>(log2_exact(workers));
+    EXPECT_EQ(one_sided_ops(shmem), top * 8u * pow2(n - 1)) << workers;
+    EXPECT_EQ(one_sided_ops(peer), top * 8u * pow2(n - 1)) << workers;
+    EXPECT_LT(shmem.state().max_diff(ref.state()), 1e-12) << workers;
+    EXPECT_LT(peer.state().max_diff(ref.state()), 1e-12) << workers;
+  }
+}
+
+/// Hand count of one-sided traffic for `c` as executed: gates with every
+/// operand below `lg_part` are free; X, CX and SWAP otherwise read and
+/// write each amplitude they touch once per plane (2 gets + 2 puts, or 4
+/// peer accesses). Returns ops[worker][owner].
+std::vector<std::vector<std::uint64_t>> hand_count(const Circuit& c,
+                                                   int workers,
+                                                   IdxType lg_part) {
+  const auto W = static_cast<std::size_t>(workers);
+  std::vector<std::vector<std::uint64_t>> ops(W,
+                                              std::vector<std::uint64_t>(W));
+  const IdxType n = c.n_qubits();
+  for (const Gate& g : c.gates()) {
+    if (g.qb0 < lg_part && g.qb1 < lg_part) continue; // owner-computes
+    const bool one_q = g.qb1 < 0;
+    const IdxType per = (one_q ? pow2(n - 1) : pow2(n - 2)) / workers;
+    const IdxType p = one_q ? g.qb0 : std::min(g.qb0, g.qb1);
+    const IdxType q = one_q ? g.qb0 : std::max(g.qb0, g.qb1);
+    for (std::size_t w = 0; w < W; ++w) {
+      for (IdxType i = per * static_cast<IdxType>(w);
+           i < per * static_cast<IdxType>(w + 1); ++i) {
+        IdxType a = 0;
+        IdxType b = 0;
+        if (g.op == OP::X) {
+          a = pair_base(i, q);
+          b = a + pow2(q);
+        } else if (g.op == OP::CX) {
+          a = quad_base(i, p, q) + pow2(g.qb0);
+          b = a + pow2(g.qb1);
+        } else if (g.op == OP::SWAP) {
+          a = quad_base(i, p, q) + pow2(p);
+          b = quad_base(i, p, q) + pow2(q);
+        } else {
+          ADD_FAILURE() << "no hand count for " << op_name(g.op);
+        }
+        ops[w][static_cast<std::size_t>(a >> lg_part)] += 4;
+        ops[w][static_cast<std::size_t>(b >> lg_part)] += 4;
+      }
+    }
+  }
+  return ops;
+}
+
+TEST(OwnerComputes, MixedCircuitMatchesHandCountedTraffic) {
+  const IdxType n = 8;
+  for_each_partitioned_config([&](int workers, const SimConfig& cfg) {
+    const IdxType lg_part = n - log2_exact(workers);
+    const IdxType top = n - 1;
+    // Local gates (free) around X on the top qubit and CX controlled by
+    // it: the only one-sided work, plus whatever swaps remap inserts.
+    Circuit c = local_only_circuit(n, lg_part);
+    c.x(top).cx(top, 0);
+    c.append(local_only_circuit(n, lg_part));
+    const Circuit executed =
+        cfg.remap == 1 ? remap_for_partition(c, lg_part).circuit : c;
+    const auto ops = hand_count(executed, workers, lg_part);
+    std::uint64_t remote = 0;
+    std::uint64_t all = 0;
+    for (std::size_t w = 0; w < ops.size(); ++w) {
+      for (std::size_t o = 0; o < ops.size(); ++o) {
+        all += ops[w][o];
+        if (o != w) remote += ops[w][o];
+      }
+    }
+    ASSERT_GT(remote, 0u);
+
+    SingleSim ref(n, cfg);
+    ShmemSim shmem(n, workers, cfg);
+    PeerSim peer(n, workers, cfg);
+    ref.run(c);
+    shmem.run(c);
+    peer.run(c);
+    const shmem::TrafficStats t = shmem.traffic();
+    EXPECT_EQ(t.remote_gets, remote / 2);
+    EXPECT_EQ(t.remote_puts, remote / 2);
+    EXPECT_EQ(one_sided_ops(shmem), all);
+    EXPECT_EQ(peer.traffic().remote_access, remote);
+    EXPECT_EQ(one_sided_ops(peer), all);
+    for (const Simulator* sim : {static_cast<const Simulator*>(&shmem),
+                                 static_cast<const Simulator*>(&peer)}) {
+      const obs::TrafficMatrix& m = sim->last_report().matrix;
+      for (int w = 0; w < workers; ++w) {
+        for (int o = 0; o < workers; ++o) {
+          EXPECT_EQ(m.at(w, o), ops[static_cast<std::size_t>(w)]
+                                   [static_cast<std::size_t>(o)] *
+                                    sizeof(ValType))
+              << sim->name() << " " << w << "->" << o;
+        }
+      }
+    }
+    EXPECT_LT(shmem.state().max_diff(ref.state()), 1e-12);
+    EXPECT_LT(peer.state().max_diff(ref.state()), 1e-12);
+  });
+}
+
+// The measure-all sweep reads partitions through resolved pointers and
+// folds per-owner tallies in bulk: the counts must equal what per-element
+// reads of the logical prefix [0, k] the sweep visits would give.
+TEST(OwnerComputes, MeasureAllBulkTalliesEqualPerElementCount) {
+  const IdxType n = 6;
+  for_each_partitioned_config([&](int workers, const SimConfig& cfg) {
+    const IdxType lg_part = n - log2_exact(workers);
+    const IdxType part = pow2(lg_part);
+    // Basis state |k0> (remap off: physical = logical): the sweep stops at
+    // k0, having read amplitudes 0..k0. GHZ: the last draw needs the last
+    // amplitude, so the sweep reads all 2^n whatever the layout.
+    const IdxType k0 = part + 3; // inside partition 1
+    Circuit basis(n);
+    for (IdxType q = 0; q < n; ++q) {
+      if ((k0 >> q) & 1) basis.x(q);
+    }
+    Circuit ghz(n);
+    ghz.h(0);
+    for (IdxType q = 1; q < n; ++q) ghz.cx(q - 1, q);
+
+    struct Case {
+      const Circuit* c;
+      IdxType last_read;
+    };
+    std::vector<Case> cases{{&ghz, pow2(n) - 1}};
+    if (cfg.remap == 0) cases.push_back({&basis, k0});
+    for (const Case& cs : cases) {
+      std::vector<std::uint64_t> expect(static_cast<std::size_t>(workers), 0);
+      for (IdxType k = 0; k <= cs.last_read; ++k) {
+        expect[static_cast<std::size_t>(k >> lg_part)] += 2; // real + imag
+      }
+      ShmemSim shmem(n, workers, cfg);
+      PeerSim peer(n, workers, cfg);
+      shmem.run(*cs.c);
+      peer.run(*cs.c);
+      const auto shots_s = shmem.sample(64);
+      const auto shots_p = peer.sample(64);
+      EXPECT_EQ(shots_s, shots_p);
+
+      const auto& per_pe = shmem.per_pe_traffic();
+      EXPECT_EQ(per_pe[0].local_gets, expect[0]);
+      std::uint64_t remote = 0;
+      for (int w = 1; w < workers; ++w) {
+        remote += expect[static_cast<std::size_t>(w)];
+        EXPECT_EQ(per_pe[static_cast<std::size_t>(w)].local_gets +
+                      per_pe[static_cast<std::size_t>(w)].remote_gets,
+                  0u);
+      }
+      EXPECT_EQ(per_pe[0].remote_gets, remote);
+      EXPECT_EQ(shmem.traffic().local_puts + shmem.traffic().remote_puts, 0u);
+      EXPECT_EQ(peer.per_device_traffic()[0].local_access, expect[0]);
+      EXPECT_EQ(peer.traffic().remote_access, remote);
+      for (const Simulator* sim : {static_cast<const Simulator*>(&shmem),
+                                   static_cast<const Simulator*>(&peer)}) {
+        const obs::TrafficMatrix& m = sim->last_report().matrix;
+        for (int o = 0; o < workers; ++o) {
+          EXPECT_EQ(m.at(0, o),
+                    expect[static_cast<std::size_t>(o)] * sizeof(ValType))
+              << sim->name() << " owner " << o;
+        }
+        EXPECT_EQ(m.total(), 2 * sizeof(ValType) * (cs.last_read + 1))
+            << sim->name();
+      }
+    }
+  });
+}
+
+// lg_part = 1 (n = 3 on 4 workers): only qubit 0 is PE-local, so no
+// 2-qubit gate can run owner-computes and no schedule can block.
+TEST(OwnerComputes, OneLocalQubitEdgeCase) {
+  const IdxType n = 3;
+  SimConfig cfg;
+  cfg.seed = 99;
+  for (const int remap : {0, 1}) {
+    cfg.remap = remap;
+    ShmemSim shmem(n, 4, cfg);
+    PeerSim peer(n, 4, cfg);
+    Circuit local(n);
+    local.h(0).t(0).rx(0.3, 0);
+    shmem.run(local);
+    peer.run(local);
+    EXPECT_EQ(one_sided_ops(shmem), 0u);
+    EXPECT_EQ(one_sided_ops(peer), 0u);
+
+    Circuit two(n);
+    two.cx(0, 1);
+    shmem.run(two);
+    peer.run(two);
+    if (remap == 0) {
+      EXPECT_GT(one_sided_ops(shmem), 0u);
+      EXPECT_GT(one_sided_ops(peer), 0u);
+    }
+
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      const Circuit c = random_circuit(n, 40, seed);
+      SingleSim ref(n, cfg);
+      ShmemSim s(n, 4, cfg);
+      PeerSim p(n, 4, cfg);
+      ref.run(c);
+      s.run(c);
+      p.run(c);
+      EXPECT_LT(s.state().max_diff(ref.state()), 1e-10) << seed;
+      EXPECT_LT(p.state().max_diff(ref.state()), 1e-10) << seed;
+      const auto want = ref.sample(32);
+      EXPECT_EQ(s.sample(32), want) << seed;
+      EXPECT_EQ(p.sample(32), want) << seed;
+    }
+  }
 }
 
 // Measurement determinism: same seed -> same outcomes on all backends.

@@ -2,10 +2,14 @@
 // every backend shares.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "common/bits.hpp"
+#include "common/rng.hpp"
 
 namespace svsim {
 namespace {
@@ -104,6 +108,33 @@ TEST(Bits, QubitSet) {
   EXPECT_TRUE(qubit_set(0b1010, 1));
   EXPECT_FALSE(qubit_set(0b1010, 0));
   EXPECT_TRUE(qubit_set(0b1010, 3));
+}
+
+// The measure-all sweep's two-table permutation must be permute_bits
+// exactly, for every width the simulators address (odd n splits unevenly).
+TEST(Bits, BitPermuterMatchesPermuteBits) {
+  Rng rng(2024);
+  for (IdxType n = 1; n <= 30; ++n) {
+    std::vector<IdxType> layout(static_cast<std::size_t>(n));
+    for (int trial = 0; trial < 1000; ++trial) {
+      std::iota(layout.begin(), layout.end(), IdxType{0});
+      for (std::size_t i = layout.size(); i > 1; --i) { // Fisher-Yates
+        std::swap(layout[i - 1], layout[rng.next_below(i)]);
+      }
+      const BitPermuter perm(layout.data(), n);
+      const IdxType top = pow2(n) - 1;
+      for (const IdxType k : {IdxType{0}, top, IdxType{1}, top >> 1}) {
+        ASSERT_EQ(perm(k), permute_bits(k, layout.data(), n))
+            << "n=" << n << " k=" << k;
+      }
+      for (int probe = 0; probe < 16; ++probe) {
+        const auto k = static_cast<IdxType>(
+            rng.next_below(static_cast<std::uint64_t>(pow2(n))));
+        ASSERT_EQ(perm(k), permute_bits(k, layout.data(), n))
+            << "n=" << n << " k=" << k;
+      }
+    }
+  }
 }
 
 } // namespace

@@ -221,7 +221,10 @@ TEST(ObsReport, SampleRefreshesTheReport) {
 class ObsTraceTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "svsim_trace_test.json";
+    // One file per test case: ctest runs the cases as parallel processes.
+    path_ = ::testing::TempDir() + "svsim_trace_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".json";
     obs::Trace::global().clear();
     obs::Trace::global().set_path(path_);
   }

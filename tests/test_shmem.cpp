@@ -131,6 +131,51 @@ TEST(Shmem, TrafficCountersDistinguishLocalAndRemote) {
   EXPECT_EQ(total.bytes_put, 2 * sizeof(double));
 }
 
+// A sweep that reads through translate()d pointers and accounts in bulk
+// must leave exactly the counters per-element g() would have.
+TEST(Shmem, BulkAccountedGetsEqualPerElementGets) {
+  Runtime per_element(4, 1 << 16);
+  Runtime bulk(4, 1 << 16);
+  per_element.run([&](Ctx& ctx) {
+    double* data = ctx.malloc_sym<double>(8);
+    ctx.barrier_all();
+    if (ctx.pe() == 1) {
+      for (int pe = 0; pe < 4; ++pe) {
+        for (int i = 0; i <= pe; ++i) ctx.g(&data[i], pe);
+      }
+    }
+  });
+  bulk.run([&](Ctx& ctx) {
+    double* data = ctx.malloc_sym<double>(8);
+    ctx.barrier_all();
+    if (ctx.pe() == 1) {
+      for (int pe = 0; pe < 4; ++pe) {
+        const double* part = ctx.translate(data, pe);
+        EXPECT_EQ(part[pe], 0.0);
+        ctx.account_gets(pe, static_cast<std::uint64_t>(pe) + 1,
+                         sizeof(double));
+      }
+    }
+  });
+  const TrafficStats a = per_element.aggregate_traffic();
+  const TrafficStats b = bulk.aggregate_traffic();
+  EXPECT_EQ(b.local_gets, a.local_gets);
+  EXPECT_EQ(b.remote_gets, a.remote_gets);
+  EXPECT_EQ(b.bytes_got, a.bytes_got);
+  EXPECT_EQ(b.local_gets, 2u);  // PE 1 read 2 of its own
+  EXPECT_EQ(b.remote_gets, 8u); // 1 + 3 + 4 from PEs 0, 2, 3
+  EXPECT_EQ(bulk.traffic_matrix(), per_element.traffic_matrix());
+}
+
+TEST(Shmem, TranslateRejectsBadPeId) {
+  Runtime rt(2, 1 << 12);
+  EXPECT_THROW(rt.run([&](Ctx& ctx) {
+                 double* p = ctx.malloc_sym<double>(4);
+                 ctx.g(p, 2);
+               }),
+               Error);
+}
+
 TEST(Shmem, HeapExhaustionThrows) {
   Runtime rt(2, 1 << 10);
   EXPECT_THROW(
