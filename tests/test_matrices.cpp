@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/generalized_sim.hpp"
 #include "ir/matrices.hpp"
@@ -142,11 +143,21 @@ StateVector random_state(IdxType n, std::uint64_t seed) {
   return sv;
 }
 
+// gtest prints a parameter that has no operator<< as its raw bytes, and
+// ctest names each case after that dump. Padding would put stale stack and
+// heap bytes into the name, so it is spelled out as zeroed fields instead.
 struct DecompCase {
+  constexpr DecompCase(OP o, ValType t, ValType p, ValType l, bool exact)
+      : op(o), theta(t), phi(p), lam(l), phase_exact(exact) {}
   OP op;
+  std::int32_t zero_pad = 0;
   ValType theta, phi, lam;
   bool phase_exact; // compare amplitudes exactly vs fidelity-only
+  char zero_tail[7] = {};
 };
+static_assert(sizeof(DecompCase) ==
+                  sizeof(OP) + 4 + 3 * sizeof(ValType) + sizeof(bool) + 7,
+              "DecompCase must have no padding: its bytes name the tests");
 
 class DecompositionTest : public ::testing::TestWithParam<DecompCase> {};
 
