@@ -12,8 +12,10 @@
 //
 // Here the same structure is realized per address-space policy: each
 // instantiation of KernelTable<Space> is "the device's constant-memory
-// function table", DeviceGate<Space> is the uploaded gate, and
-// simulation_kernel<Space> is the single launched kernel.
+// function table" and DeviceGate<Space> is the uploaded gate. The single
+// launched kernel, simulation_kernel_sched<Space>, walks the uploaded
+// gates through a schedule (core/kernels/blocked.hpp); the per-gate loop
+// is its trivial schedule.
 #pragma once
 
 #include <array>
@@ -230,66 +232,13 @@ inline std::uint64_t amps_per_work_item(const Gate& g) {
 
 } // namespace detail
 
-/// The single simulation kernel (Listing 1 lines 21-26 / Listing 5): every
-/// worker executes the full gate loop over its contiguous slice of work
-/// items, with a global sync after each gate (grid.sync() /
-/// nvshmem_barrier_all()). When a GateRecorder is supplied each gate (plus
-/// its sync) is wrapped in an obs::Span on this worker's track; with the
-/// default null recorder the spans are branch-only no-ops.
-///
-/// When a HealthMonitor is supplied, every `every_n()` gates (and after the
-/// final gate) each worker SIMD-scans its local partition, the partial
-/// norms / non-finite counts are combined through the Space's own
-/// reduce_sum — so the checkpoint is collective and stays lockstep across
-/// workers — worker 0 records the result, and every worker evaluates the
-/// same pure abort predicate on the reduced values: an escalated abort
-/// breaks all gate loops together, with no worker left waiting at a
-/// barrier. A FlightRecorder, when enabled, gets one event per gate on
-/// this worker's ring (a few plain stores). A ProgressBoard, when
-/// enabled, gets one relaxed store + one uncontended fetch_add per gate
-/// on this worker's cacheline-private slot — /progress readers snapshot
-/// those without ever stalling the loop.
-template <class Space>
-void simulation_kernel(const std::vector<DeviceGate<Space>>& circuit,
-                       const Space& sp, obs::GateRecorder* rec = nullptr,
-                       obs::HealthMonitor* health = nullptr,
-                       obs::FlightRecorder* flight = nullptr,
-                       obs::ProgressBoard* progress = nullptr) {
-  const IdxType nw = sp.n_workers();
-  const IdxType me = sp.worker();
-  obs::FlightRing* ring =
-      flight != nullptr ? flight->ring(static_cast<int>(me)) : nullptr;
-  obs::ProgressSlot* pslot =
-      progress != nullptr ? progress->slot(static_cast<int>(me)) : nullptr;
-  obs::ProgressScope pscope(pslot); // live wait column via WaitScope
-  const std::uint64_t every =
-      health != nullptr && health->every_n() > 0
-          ? static_cast<std::uint64_t>(health->every_n())
-          : 0;
-  const std::uint64_t n_gates = circuit.size();
-  std::uint64_t gate_id = 0;
-  for (const DeviceGate<Space>& dg : circuit) {
-    ++gate_id;
-    obs::WaitTracker::set_phase(op_name(dg.g.op));
-    detail::flight_gate_event(ring, gate_id, dg.g);
-    {
-      obs::Span span(rec, static_cast<int>(me), dg.g.op);
-      const IdxType per = (dg.work + nw - 1) / nw;
-      const IdxType begin = per * me < dg.work ? per * me : dg.work;
-      const IdxType end = begin + per < dg.work ? begin + per : dg.work;
-      // A local gate's slice is this worker's partition: it starts there.
-      detail::run_items(dg, sp, begin, end, begin);
-      sp.sync();
-      if (pslot != nullptr) {
-        pslot->publish_gate(gate_id,
-                            static_cast<std::uint64_t>(end - begin) *
-                                detail::amps_per_work_item(dg.g));
-      }
-    }
-    if (every != 0 && (gate_id % every == 0 || gate_id == n_gates)) {
-      if (detail::health_checkpoint(sp, health, ring, gate_id)) break;
-    }
-  }
-}
+/// The optional observability hooks of one run, handed to every worker's
+/// gate loop. Null members are off.
+struct RunHooks {
+  obs::GateRecorder* rec = nullptr;
+  obs::HealthMonitor* health = nullptr;
+  obs::FlightRecorder* flight = nullptr;
+  obs::ProgressBoard* progress = nullptr;
+};
 
 } // namespace svsim

@@ -3,9 +3,7 @@
 #include <memory>
 
 #include "common/timer.hpp"
-#include "core/kernels/nonunitary.hpp"
-#include "obs/flight.hpp"
-#include "obs/health.hpp"
+#include "core/dispatch.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -44,10 +42,9 @@ LocalSpace GeneralizedSim::make_space() {
 
 void GeneralizedSim::load_state(const StateVector& sv) {
   SVSIM_CHECK(sv.n_qubits == n_, "state width mismatch");
-  for (IdxType k = 0; k < dim_; ++k) {
-    real_[static_cast<std::size_t>(k)] = sv.amps[static_cast<std::size_t>(k)].real();
-    imag_[static_cast<std::size_t>(k)] = sv.amps[static_cast<std::size_t>(k)].imag();
-  }
+  ValType* r = real_.data();
+  ValType* i = imag_.data();
+  scatter_parts(sv, n_, &r, &i);
 }
 
 void GeneralizedSim::apply_matrix(const Mat2& m, IdxType q) {
@@ -143,33 +140,16 @@ void GeneralizedSim::run(const Circuit& circuit) {
     std::uint64_t gate_id = 0;
     for (const Gate& g : circuit.gates()) {
       ++gate_id;
-      if (ring != nullptr) {
-        obs::FlightEvent e;
-        e.ts_us = obs::trace_now_us();
-        e.gate_id = gate_id;
-        e.kind = obs::FlightEvent::kGate;
-        e.op = static_cast<std::uint16_t>(g.op);
-        e.qb0 = static_cast<std::int32_t>(g.qb0);
-        e.qb1 = static_cast<std::int32_t>(g.qb1);
-        ring->push(e);
-      }
+      detail::flight_gate_event(ring, gate_id, g);
       {
         obs::Span span(rec.get(), 0, g.op);
         apply_gate(g);
       }
       if (every != 0 && (gate_id % every == 0 || gate_id == n_gates)) {
-        double norm2 = 0;
-        std::uint64_t bad = 0;
-        obs::scan_amplitudes(real_.data(), imag_.data(), dim_, &norm2, &bad);
-        health->observe(gate_id, norm2, bad);
-        if (ring != nullptr) {
-          obs::FlightEvent e;
-          e.ts_us = obs::trace_now_us();
-          e.gate_id = gate_id;
-          e.kind = obs::FlightEvent::kCheckpoint;
-          ring->push(e);
+        if (detail::health_checkpoint(make_space(), health.get(), ring,
+                                      gate_id)) {
+          break;
         }
-        if (health->should_abort(norm2, bad)) break;
       }
     }
   }
@@ -179,24 +159,13 @@ void GeneralizedSim::run(const Circuit& circuit) {
 }
 
 StateVector GeneralizedSim::state() const {
-  StateVector sv(n_);
-  for (IdxType k = 0; k < dim_; ++k) {
-    sv.amps[static_cast<std::size_t>(k)] =
-        Complex{real_[static_cast<std::size_t>(k)],
-                imag_[static_cast<std::size_t>(k)]};
-  }
-  return sv;
+  const ValType* r = real_.data();
+  const ValType* i = imag_.data();
+  return gather_parts(n_, n_, &r, &i, {});
 }
 
 std::vector<IdxType> GeneralizedSim::sample(IdxType shots) {
-  results_.assign(static_cast<std::size_t>(shots), 0);
-  mctx_.results = results_.data();
-  mctx_.n_shots = shots;
-  Gate g = make_gate(OP::MA);
-  kernels::kern_measure_all(g, make_space(), 0, dim_);
-  mctx_.results = nullptr;
-  mctx_.n_shots = 0;
-  return results_;
+  return sample_via_run(shots, &mctx_);
 }
 
 } // namespace svsim

@@ -52,7 +52,6 @@ private:
   obs::TrackedBuffer<ValType> real_;
   obs::TrackedBuffer<ValType> imag_;
   std::vector<IdxType> cbits_;
-  std::vector<IdxType> results_;
   MeasureCtx mctx_;
   Rng rng_;
 };

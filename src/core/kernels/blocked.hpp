@@ -193,7 +193,8 @@ struct WindowAction {
 
 /// A run-ready schedule: the windows plus, for each blocked window, its
 /// action list. `active` is false when scheduling is off, no window
-/// qualified, or the partition is too small to block.
+/// qualified, or the partition is too small to block; `sched.windows` is
+/// then the trivial schedule, one per-gate window over the whole circuit.
 template <class Space>
 struct SchedExec {
   bool enabled = false; // scheduling resolved on (stats worth reporting)
@@ -473,6 +474,8 @@ void apply_diag_run(const LocalSpace& sp, const WindowAction<Space>& a,
 /// O(gates) plus the (budgeted) phase tables. `checkpoint_every` is the
 /// run's health cadence (0 = off): checkpoints are window barriers, so
 /// the blocked loop checks at exactly the classic per-gate gate ids.
+/// Without a blocked window the result is the trivial schedule (one
+/// per-gate window), with the stats of the schedule that was tried.
 template <class Space>
 SchedExec<Space> prepare_sched(const Circuit& circuit,
                                const std::vector<DeviceGate<Space>>& dc,
@@ -481,14 +484,17 @@ SchedExec<Space> prepare_sched(const Circuit& circuit,
                                IdxType checkpoint_every = 0) {
   SchedExec<Space> ex;
   IdxType b = resolved_block_exponent(cfg);
-  if (b == 0) return ex;
   if (b > lg_part) b = lg_part;
-  if (b < 2) return ex;
-  ex.enabled = true;
-  ex.block_exp = b;
-  ex.sched = build_schedule(circuit, b, checkpoint_every);
-  if (!ex.sched.has_blocked()) return ex;
-  ex.active = true;
+  if (b >= 2) {
+    ex.enabled = true;
+    ex.block_exp = b;
+    ex.sched = build_schedule(circuit, b, checkpoint_every);
+    ex.active = ex.sched.has_blocked();
+  }
+  if (!ex.active) {
+    ex.sched.windows.assign(1, Window{0, static_cast<IdxType>(dc.size())});
+    return ex;
+  }
   ex.actions.resize(ex.sched.windows.size());
   std::size_t table_bytes = 0;
   for (std::size_t wi = 0; wi < ex.sched.windows.size(); ++wi) {
@@ -520,28 +526,42 @@ inline void fold_sched_stats(obs::RunReport& rep,
       static_cast<std::uint64_t>(dim);
 }
 
-/// The scheduled twin of simulation_kernel: per-gate windows replicate its
-/// loop body exactly (per-gate sync, span, flight event, health cadence);
-/// blocked windows run blocks-outer/gates-inner with one sync and at most
-/// one health checkpoint per window. Every worker executes the same
-/// window sequence and reaches the same checkpoint/abort verdicts, so the
-/// collective protocol stays lockstep.
+/// The gate loop — the paper's single simulation kernel (Listing 1 lines
+/// 21-26 / Listing 5), driven by a schedule. Every worker walks the same
+/// window sequence:
+///  - a per-gate window runs each gate over the worker's contiguous slice
+///    of work items, then a global sync (grid.sync() /
+///    nvshmem_barrier_all()); with scheduling off, or no blocked window,
+///    the whole circuit is one such window;
+///  - a blocked window runs blocks-outer / gates-inner over the worker's
+///    own partition with one sync for the window.
+/// The hooks are all optional. A GateRecorder wraps each gate (plus its
+/// sync) in an obs::Span on this worker's track; with a null recorder the
+/// spans are branch-only no-ops. A FlightRecorder gets one event per gate
+/// on this worker's ring (a few plain stores). A ProgressBoard gets one
+/// relaxed store + one uncontended fetch_add per gate (per block in a
+/// blocked window) on this worker's cacheline-private slot. A
+/// HealthMonitor checkpoints every `every_n()` gates and after the last
+/// one, at most once per blocked window: each worker scans its partition
+/// and the partials combine through the Space's reduce_sum, so every
+/// worker reaches the same checkpoint and abort verdicts and the loops
+/// stay lockstep — an escalated abort breaks them all together.
 template <class Space>
 void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
                              const kernels::SchedExec<Space>& ex,
-                             const Space& sp,
-                             obs::GateRecorder* rec = nullptr,
-                             obs::HealthMonitor* health = nullptr,
-                             obs::FlightRecorder* flight = nullptr,
-                             obs::ProgressBoard* progress = nullptr) {
+                             const Space& sp, const RunHooks& hooks = {}) {
   using kernels::WindowAction;
+  obs::GateRecorder* rec = hooks.rec;
+  obs::HealthMonitor* health = hooks.health;
   const IdxType nw = sp.n_workers();
   const IdxType me = sp.worker();
-  obs::FlightRing* ring =
-      flight != nullptr ? flight->ring(static_cast<int>(me)) : nullptr;
-  obs::ProgressSlot* pslot =
-      progress != nullptr ? progress->slot(static_cast<int>(me)) : nullptr;
-  obs::ProgressScope pscope(pslot);
+  obs::FlightRing* ring = hooks.flight != nullptr
+                              ? hooks.flight->ring(static_cast<int>(me))
+                              : nullptr;
+  obs::ProgressSlot* pslot = hooks.progress != nullptr
+                                 ? hooks.progress->slot(static_cast<int>(me))
+                                 : nullptr;
+  obs::ProgressScope pscope(pslot); // live wait column via WaitScope
   const std::uint64_t every =
       health != nullptr && health->every_n() > 0
           ? static_cast<std::uint64_t>(health->every_n())
@@ -560,7 +580,6 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
       pslot->publish_window(static_cast<std::uint64_t>(wi));
     }
     if (!w.blocked) {
-      // Classic per-gate execution (same body as simulation_kernel).
       for (IdxType k = 0; k < w.n_gates; ++k) {
         const DeviceGate<Space>& dg =
             circuit[static_cast<std::size_t>(w.first_gate + k)];
@@ -572,6 +591,7 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
           const IdxType per = (dg.work + nw - 1) / nw;
           const IdxType begin = per * me < dg.work ? per * me : dg.work;
           const IdxType end = begin + per < dg.work ? begin + per : dg.work;
+          // A local gate's slice is this worker's partition: it starts there.
           detail::run_items(dg, sp, begin, end, begin);
           sp.sync();
           if (pslot != nullptr) {

@@ -46,8 +46,6 @@ public:
   }
 
 private:
-  void execute(const Circuit& circuit);
-
   IdxType n_;
   IdxType dim_;
   int n_dev_;
@@ -64,12 +62,11 @@ private:
   std::vector<ValType*> imag_ptrs_;
 
   std::vector<IdxType> cbits_;
-  std::vector<IdxType> results_;
   /// Live logical→physical qubit layout (ir/remap). Empty = identity;
-  /// persists across execute() calls so sample()'s internal measure-all
+  /// persists across run() calls so sample()'s internal measure-all
   /// run sees the permutation the previous circuit left behind.
   std::vector<IdxType> layout_;
-  /// Flattened per-measure-all layout snapshots of the current execute()
+  /// Flattened per-measure-all layout snapshots of the current run()
   /// (storage behind MeasureCtx::ma_layouts).
   std::vector<IdxType> ma_layouts_;
   MeasureCtx mctx_;

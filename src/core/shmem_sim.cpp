@@ -1,13 +1,6 @@
 #include "core/shmem_sim.hpp"
 
-#include <memory>
-
-#include "common/timer.hpp"
-#include "core/kernels/blocked.hpp"
-#include "machine/model.hpp"
-#include "obs/aggregate.hpp"
-#include "obs/counters.hpp"
-#include "obs/registry.hpp"
+#include "core/pipeline.hpp"
 
 namespace svsim {
 
@@ -84,64 +77,11 @@ void ShmemSim::reset_state() {
   for (auto& rng : rngs_) rng.reseed(cfg_.seed);
 }
 
-void ShmemSim::execute(const Circuit& circuit) {
+void ShmemSim::run(const Circuit& circuit) {
+  SVSIM_CHECK(circuit.n_qubits() == n_, "circuit width != simulator width");
   static obs::Counter& runs = obs::Registry::global().counter("runs.shmem");
-  runs.add();
-  obs::RunReport& rep = begin_report(circuit, n_pes_);
-
-  // Communication-avoiding remap (ir/remap): rewrite the circuit so hot
-  // qubits live below lg_part_ (PE-local); readout is virtually permuted
-  // through the layout snapshots instead of physically restored. The
-  // report keeps the ORIGINAL circuit's tally/hash so ledger keys stay
-  // comparable across remap on/off.
-  const std::unique_ptr<RemapResult> rm =
-      maybe_remap(circuit, cfg_, n_pes_, lg_part_, &layout_);
-  ma_layouts_ = rm ? std::move(rm->ma_layouts) : std::vector<IdxType>{};
-  mctx_.ma_layouts = ma_layouts_.empty() ? nullptr : ma_layouts_.data();
-  mctx_.n_qubits = n_;
-  const Circuit& exec = rm ? rm->circuit : circuit;
-
-  const auto device_circuit = upload_circuit<ShmemSpace>(
-      exec, KernelTable<ShmemSpace>::get(), local_table_, lg_part_);
-
-  std::unique_ptr<obs::GateRecorder> rec;
-  if (profiling_on(cfg_)) {
-    rec = std::make_unique<obs::GateRecorder>(n_pes_,
-                                              obs::Trace::global().enabled());
-  }
-  const std::unique_ptr<obs::HealthMonitor> health = make_health(cfg_);
-  obs::FlightRecorder* flight = flight_on(cfg_);
-  if (flight != nullptr) flight->begin_run(name(), n_, n_pes_);
-
-  // Built once outside the PE team; shared read-only. b <= lg_part keeps
-  // every block inside one PE's symmetric partition.
-  const auto sched = kernels::prepare_sched<ShmemSpace>(
-      exec, device_circuit, cfg_, lg_part_, rec != nullptr,
-      health ? health->every_n() : 0);
-  if (sched.enabled) fold_sched_stats(rep, sched.sched.stats, sched.active, dim_);
-
-  // runtime_.run spawns the PE threads below and joins them before the
-  // sampler is read, so inherited child counts cover the whole team.
-  const bool roofline = roofline_on(cfg_);
-  const obs::RunModel model =
-      roofline ? obs::model_run(exec, sched.active ? &sched.sched : nullptr)
-               : obs::RunModel{};
-  obs::CounterSampler counters(roofline);
-  std::unique_ptr<obs::WaitRecorder> wrec;
-  if (waitstats_on(cfg_)) wrec = std::make_unique<obs::WaitRecorder>(n_pes_);
-  obs::ProgressBoard* progress = progress_on(cfg_);
-  if (progress != nullptr) {
-    progress->begin_run(name(), n_, n_pes_, exec,
-                        sched.active ? &sched.sched : nullptr);
-  }
-  const double loop_t0 = obs::trace_now_us();
-  counters.start();
-  {
-    Timer::ScopedAccum wall(rep.wall_seconds);
+  auto launch = [&](auto&& body) {
     runtime_.run([&](shmem::Ctx& ctx) {
-      // Bind only for the gate loop: the setup/reset jobs above run the
-      // same Barrier uninstrumented (no bound track on those threads).
-      obs::WaitBind bind(wrec.get(), ctx.pe());
       ShmemSpace sp;
       sp.ctx = &ctx;
       sp.real_sym = real_sym_[static_cast<std::size_t>(ctx.pe())];
@@ -150,88 +90,41 @@ void ShmemSim::execute(const Circuit& circuit) {
       sp.dim = dim_;
       sp.mctx = &mctx_;
       sp.rng = &rngs_[static_cast<std::size_t>(ctx.pe())];
-      if (sched.active) {
-        simulation_kernel_sched(device_circuit, sched, sp, rec.get(),
-                                health.get(), flight, progress);
-      } else {
-        simulation_kernel(device_circuit, sp, rec.get(), health.get(), flight,
-                          progress);
-      }
+      body(sp);
     });
-  }
-  counters.stop();
-  last_traffic_ = runtime_.aggregate_traffic();
-  if (rec) rec->finish(rep, name());
-  if (wrec) obs::fold_waitstate(rep, *wrec, name());
-  if (roofline) {
-    obs::fold_roofline(rep, model, counters.sample(),
-                       machine::host_peak_gbps(n_pes_), name(), loop_t0,
-                       obs::trace_now_us());
-  }
-  if (health) health->finish(rep);
-  if (flight != nullptr) set_flight_pending(n_pes_);
-  rep.comm.add_shmem(last_traffic_);
-  rep.matrix.n = n_pes_;
-  rep.matrix.bytes = runtime_.traffic_matrix();
-  if (progress != nullptr) progress->end_run(obs::to_json(rep));
-}
-
-void ShmemSim::run(const Circuit& circuit) {
-  SVSIM_CHECK(circuit.n_qubits() == n_, "circuit width != simulator width");
-  execute(circuit);
+  };
+  auto fold_comm = [&](obs::RunReport& rep) {
+    last_traffic_ = runtime_.aggregate_traffic();
+    rep.comm.add_shmem(last_traffic_);
+    rep.matrix.n = n_pes_;
+    rep.matrix.bytes = runtime_.traffic_matrix();
+  };
+  run_pipeline(circuit,
+               RunSpec<ShmemSpace>{.cfg = cfg_,
+                                   .runs = runs,
+                                   .n_workers = n_pes_,
+                                   .lg_part = lg_part_,
+                                   .table = KernelTable<ShmemSpace>::get(),
+                                   .local_table = local_table_,
+                                   .layout = &layout_,
+                                   .ma_layouts = &ma_layouts_,
+                                   .mctx = &mctx_},
+               launch, fold_comm);
 }
 
 StateVector ShmemSim::state() const {
-  StateVector sv(n_);
-  const IdxType per_pe = pow2(lg_part_);
-  // Undo the remap layout virtually: physical amplitude index p holds
-  // logical basis state permute_bits(p, inverse, n).
-  std::vector<IdxType> inv;
-  if (!layout_.empty()) {
-    inv.resize(static_cast<std::size_t>(n_));
-    for (IdxType l = 0; l < n_; ++l) {
-      inv[static_cast<std::size_t>(layout_[static_cast<std::size_t>(l)])] = l;
-    }
-  }
-  for (int pe = 0; pe < n_pes_; ++pe) {
-    const ValType* r = real_sym_[static_cast<std::size_t>(pe)];
-    const ValType* i = imag_sym_[static_cast<std::size_t>(pe)];
-    const IdxType base = static_cast<IdxType>(pe) * per_pe;
-    for (IdxType k = 0; k < per_pe; ++k) {
-      const IdxType phys = base + k;
-      const IdxType logical =
-          inv.empty() ? phys : permute_bits(phys, inv.data(), n_);
-      sv.amps[static_cast<std::size_t>(logical)] = Complex{r[k], i[k]};
-    }
-  }
-  return sv;
+  return gather_parts(n_, lg_part_, real_sym_.data(), imag_sym_.data(),
+                      layout_);
 }
 
 void ShmemSim::load_state(const StateVector& sv) {
   SVSIM_CHECK(sv.n_qubits == n_, "state width mismatch");
   layout_.clear(); // loaded amplitudes are in natural (logical) order
-  const IdxType per_pe = pow2(lg_part_);
-  for (int pe = 0; pe < n_pes_; ++pe) {
-    ValType* r = real_sym_[static_cast<std::size_t>(pe)];
-    ValType* i = imag_sym_[static_cast<std::size_t>(pe)];
-    const IdxType base = static_cast<IdxType>(pe) * per_pe;
-    for (IdxType k = 0; k < per_pe; ++k) {
-      r[k] = sv.amps[static_cast<std::size_t>(base + k)].real();
-      i[k] = sv.amps[static_cast<std::size_t>(base + k)].imag();
-    }
-  }
+  scatter_parts(sv, lg_part_, real_sym_.data(), imag_sym_.data());
 }
 
 std::vector<IdxType> ShmemSim::sample(IdxType shots) {
-  results_.assign(static_cast<std::size_t>(shots), 0);
-  mctx_.results = results_.data();
-  mctx_.n_shots = shots;
-  Circuit c(n_);
-  c.measure_all();
-  execute(c);
-  mctx_.results = nullptr;
-  mctx_.n_shots = 0;
-  return results_;
+  return sample_via_run(shots, &mctx_);
 }
 
 } // namespace svsim

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "core/space.hpp"
 #include "core/state_vector.hpp"
 #include "ir/circuit.hpp"
 #include "ir/fusion.hpp"
@@ -27,6 +28,9 @@
 #include "obs/trace.hpp"
 
 namespace svsim {
+
+template <class Space>
+struct RunSpec; // core/pipeline.hpp
 
 class Simulator {
 public:
@@ -97,9 +101,36 @@ public:
   }
 
 protected:
-  /// Reset and stamp the report at the top of a run(). Backends wrap the
-  /// gate loop in Timer::ScopedAccum(report.wall_seconds) and merge their
-  /// traffic counters at the end.
+  /// The run lifecycle shared by SingleSim, PeerSim and ShmemSim, defined
+  /// in core/pipeline.hpp: tally, remap, upload, arm the hooks, launch the
+  /// team, fold. `launch(body)` runs `body(sp)` once per worker with that
+  /// worker's Space; `fold_comm(report)` merges the backend's traffic.
+  template <class Space, class Launch, class FoldComm>
+  void run_pipeline(const Circuit& circuit, const RunSpec<Space>& spec,
+                    Launch&& launch, FoldComm&& fold_comm);
+
+  /// sample() for a backend whose measure_all kernel writes its shots
+  /// through `mctx`: run one measure_all circuit.
+  std::vector<IdxType> sample_via_run(IdxType shots, MeasureCtx* mctx) {
+    std::vector<IdxType> results(static_cast<std::size_t>(shots), 0);
+    struct Unbind {
+      MeasureCtx* m;
+      ~Unbind() {
+        m->results = nullptr;
+        m->n_shots = 0;
+      }
+    } unbind{mctx};
+    mctx->results = results.data();
+    mctx->n_shots = shots;
+    Circuit c(n_qubits());
+    c.measure_all();
+    run(c);
+    return results;
+  }
+
+  /// Reset and stamp the report at the top of a run(). The caller times
+  /// the gate loop into report.wall_seconds and merges its traffic
+  /// counters at the end.
   obs::RunReport& begin_report(const Circuit& circuit, int n_workers) {
     report_ = obs::RunReport{};
     flight_workers_ = 0;

@@ -45,7 +45,6 @@ private:
   obs::TrackedBuffer<ValType> real_;
   obs::TrackedBuffer<ValType> imag_;
   std::vector<IdxType> cbits_;
-  std::vector<IdxType> results_;
   MeasureCtx mctx_;
   Rng rng_;
   const KernelTable<LocalSpace>::Table* table_; // preloaded at construction

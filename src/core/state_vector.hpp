@@ -95,4 +95,40 @@ struct StateVector {
   }
 };
 
+/// Gather a state split in natural index order into parts of 2^lg_part
+/// amplitudes (part d holds [d·2^lg_part, (d+1)·2^lg_part)). A non-empty
+/// remap `layout` (logical→physical qubit) is undone virtually: physical
+/// index k holds logical basis state permute_bits(k, inverse, n).
+inline StateVector gather_parts(IdxType n, IdxType lg_part,
+                                const ValType* const* real,
+                                const ValType* const* imag,
+                                const std::vector<IdxType>& layout) {
+  StateVector sv(n);
+  std::vector<IdxType> inv(layout.size());
+  for (std::size_t l = 0; l < layout.size(); ++l) {
+    inv[static_cast<std::size_t>(layout[l])] = static_cast<IdxType>(l);
+  }
+  const IdxType per = pow2(lg_part);
+  for (IdxType k = 0; k < sv.dim(); ++k) {
+    const auto d = static_cast<std::size_t>(k >> lg_part);
+    const IdxType off = k & (per - 1);
+    const IdxType logical = inv.empty() ? k : permute_bits(k, inv.data(), n);
+    sv.amps[static_cast<std::size_t>(logical)] =
+        Complex{real[d][off], imag[d][off]};
+  }
+  return sv;
+}
+
+/// Scatter `sv` in natural order into parts laid out as in gather_parts.
+inline void scatter_parts(const StateVector& sv, IdxType lg_part,
+                          ValType* const* real, ValType* const* imag) {
+  const IdxType per = pow2(lg_part);
+  for (IdxType k = 0; k < sv.dim(); ++k) {
+    const auto d = static_cast<std::size_t>(k >> lg_part);
+    const IdxType off = k & (per - 1);
+    real[d][off] = sv.amps[static_cast<std::size_t>(k)].real();
+    imag[d][off] = sv.amps[static_cast<std::size_t>(k)].imag();
+  }
+}
+
 } // namespace svsim

@@ -82,7 +82,7 @@ public:
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Called by a backend at the top of execute(): stamps the active-run
+  /// Called by a backend before its gate loop starts: stamps the active-run
   /// snapshot the crash dump prints, installs the crash handlers on first
   /// use, and pushes a kRunBegin event on worker 0's ring. Rings are NOT
   /// cleared — events from earlier runs age out naturally, which is

@@ -162,9 +162,9 @@ private:
   double t0_us_ = 0;
 };
 
-/// Owns the per-PE WaitTracks of one run. Created by a backend's
-/// execute() when wait statistics are on; each PE thread binds itself for
-/// the duration of its SPMD body via WaitBind.
+/// Owns the per-PE WaitTracks of one run. Created per run by a
+/// partitioned backend when wait statistics are on; each PE thread binds
+/// itself for the duration of its SPMD body via WaitBind.
 class WaitRecorder {
 public:
   explicit WaitRecorder(int n_workers)

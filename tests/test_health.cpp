@@ -10,6 +10,8 @@
 #include <csignal>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "obs/flight.hpp"
 #include "obs/health.hpp"
 #include "obs/jsonlite.hpp"
+#include "obs/progress.hpp"
 
 namespace svsim {
 namespace {
@@ -378,21 +381,71 @@ TEST(FlightRing, ConcurrentPerWorkerWritersWrapIndependently) {
   }
 }
 
+/// A dispatch backend of the single / peer (2 devices) / shmem (2 PEs)
+/// axis.
+std::unique_ptr<Simulator> make_backend(const std::string& kind, IdxType n,
+                                        const SimConfig& cfg) {
+  if (kind == "peer") return std::make_unique<PeerSim>(n, 2, cfg);
+  if (kind == "shmem") return std::make_unique<ShmemSim>(n, 2, cfg);
+  return std::make_unique<SingleSim>(n, cfg);
+}
+
+/// On every dispatch backend, with and without the blocked schedule, each
+/// worker's ring ends with this run's gates in circuit order, and each
+/// worker's last gate published to the progress board is the circuit's
+/// last.
 TEST(FlightRecorder, RunDrainsGateEventsIntoTheReport) {
-  SimConfig cfg; // flight on by default
-  SingleSim sim(6, cfg);
-  const Circuit c = ghz(6);
-  sim.run(c);
-  const auto& flight = sim.last_report().flight;
   if (!obs::FlightRecorder::global().enabled()) {
     GTEST_SKIP() << "SVSIM_FLIGHT=0 in the environment";
   }
-  ASSERT_GE(flight.size(), static_cast<std::size_t>(c.n_gates()));
-  // The tail of the drained stream is this run's gates, newest last.
-  const obs::FlightEvent& last = flight.back();
-  EXPECT_EQ(last.kind, obs::FlightEvent::kGate);
-  EXPECT_EQ(static_cast<OP>(last.op), OP::CX);
-  EXPECT_EQ(last.gate_id, static_cast<std::uint64_t>(c.n_gates()));
+  const Circuit c = ghz(6);
+  const auto n_gates = static_cast<std::size_t>(c.n_gates());
+  obs::ProgressBoard& board = obs::ProgressBoard::global();
+  board.set_enabled(true);
+  for (const char* backend : {"single", "peer", "shmem"}) {
+    for (const int window : {0, 6}) {
+      SCOPED_TRACE(std::string(backend) + " sched_window=" +
+                   std::to_string(window));
+      SimConfig cfg; // flight on by default
+      cfg.sched_window = window;
+      cfg.remap = 0; // gate ids are the submitted circuit's
+      const auto sim = make_backend(backend, 6, cfg);
+      sim->run(c);
+      const obs::RunReport& rep = sim->last_report();
+      EXPECT_EQ(rep.sched.active, window != 0);
+      const auto& flight = rep.flight;
+      ASSERT_GE(flight.size(), n_gates);
+      // The tail of the drained stream is this run's gates, newest last.
+      const obs::FlightEvent& last = flight.back();
+      EXPECT_EQ(last.kind, obs::FlightEvent::kGate);
+      EXPECT_EQ(static_cast<OP>(last.op), OP::CX);
+      EXPECT_EQ(last.gate_id, n_gates);
+      for (int w = 0; w < rep.n_workers; ++w) {
+        std::vector<obs::FlightEvent> gates;
+        for (const obs::FlightEvent& e : flight) {
+          if (e.worker == w && e.kind == obs::FlightEvent::kGate) {
+            gates.push_back(e);
+          }
+        }
+        ASSERT_GE(gates.size(), n_gates) << "worker " << w;
+        for (std::size_t k = 0; k < n_gates; ++k) {
+          const obs::FlightEvent& e = gates[gates.size() - n_gates + k];
+          const Gate& g = c.gates()[k];
+          EXPECT_EQ(e.gate_id, k + 1) << "worker " << w;
+          EXPECT_EQ(static_cast<OP>(e.op), g.op) << "worker " << w;
+          EXPECT_EQ(e.qb0, g.qb0) << "worker " << w;
+          EXPECT_EQ(e.qb1, g.qb1) << "worker " << w;
+        }
+      }
+      const obs::ProgressSnapshot snap = board.snapshot();
+      EXPECT_EQ(snap.total_gates, n_gates);
+      ASSERT_EQ(snap.pes.size(), static_cast<std::size_t>(rep.n_workers));
+      for (const obs::ProgressSnapshot::Pe& pe : snap.pes) {
+        EXPECT_EQ(pe.gates_done, n_gates);
+      }
+    }
+  }
+  board.set_enabled(false);
 }
 
 TEST(FlightRecorder, DisabledViaConfigRecordsNothing) {

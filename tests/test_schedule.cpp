@@ -9,12 +9,15 @@
 
 #include <cmath>
 #include <complex>
+#include <memory>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/peer_sim.hpp"
 #include "core/shmem_sim.hpp"
 #include "core/single_sim.hpp"
 #include "ir/schedule.hpp"
+#include "obs/progress.hpp"
 #include "obs/report.hpp"
 
 namespace svsim {
@@ -266,18 +269,56 @@ TEST(ScheduleReport, StatsAndJsonCarryWindowCounts) {
   EXPECT_NE(json.find("\"passes_saved\":"), std::string::npos);
 }
 
+/// A dispatch backend of the single / peer (2 devices) / shmem (2 PEs)
+/// axis.
+std::unique_ptr<Simulator> make_backend(const std::string& kind, IdxType n,
+                                        const SimConfig& cfg) {
+  if (kind == "peer") return std::make_unique<PeerSim>(n, 2, cfg);
+  if (kind == "shmem") return std::make_unique<ShmemSim>(n, 2, cfg);
+  return std::make_unique<SingleSim>(n, cfg);
+}
+
 /// Health checkpoints must fire at the same gate ids as the per-gate loop
-/// even when the circuit windows (the blocked loop checks per window).
+/// even when the circuit windows (the blocked loop checks per window), on
+/// every dispatch backend. The profiled per-op counts and each worker's
+/// last gate published to the progress board do not depend on the
+/// schedule either.
 TEST(ScheduleHealth, CheckpointCountMatchesPerGateLoop) {
   Circuit c(10);
   for (int i = 0; i < 10; ++i) c.h(i);
-  SimConfig cfg;
-  cfg.health_every_n = 4;
-  cfg.sched_window = 6;
-  SingleSim sim(10, cfg);
-  sim.run(c); // checkpoints at gates 4, 8, 10
-  EXPECT_EQ(sim.last_report().health.checks, 3u);
-  EXPECT_FALSE(sim.last_report().health.tripped());
+  obs::ProgressBoard& board = obs::ProgressBoard::global();
+  board.set_enabled(true);
+  for (const char* backend : {"single", "peer", "shmem"}) {
+    std::vector<obs::RunReport> reports;
+    for (const int window : {0, 6}) {
+      SCOPED_TRACE(std::string(backend) + " sched_window=" +
+                   std::to_string(window));
+      SimConfig cfg;
+      cfg.health_every_n = 4;
+      cfg.sched_window = window;
+      cfg.profile = true;
+      cfg.remap = 0; // gate ids are the submitted circuit's
+      const auto sim = make_backend(backend, 10, cfg);
+      sim->run(c); // checkpoints at gates 4, 8, 10
+      const obs::RunReport& rep = sim->last_report();
+      EXPECT_EQ(rep.sched.active, window != 0);
+      EXPECT_EQ(rep.health.checks, 3u);
+      EXPECT_FALSE(rep.health.tripped());
+      EXPECT_TRUE(rep.profiled);
+      EXPECT_GT(rep.of(OP::H).seconds, 0);
+      const obs::ProgressSnapshot snap = board.snapshot();
+      ASSERT_EQ(snap.pes.size(), static_cast<std::size_t>(rep.n_workers));
+      for (const obs::ProgressSnapshot::Pe& pe : snap.pes) {
+        EXPECT_EQ(pe.gates_done, static_cast<std::uint64_t>(c.n_gates()));
+      }
+      reports.push_back(rep);
+    }
+    for (std::size_t i = 0; i < reports[0].by_op.size(); ++i) {
+      EXPECT_EQ(reports[0].by_op[i].count, reports[1].by_op[i].count)
+          << backend << " op " << i;
+    }
+  }
+  board.set_enabled(false);
 }
 
 } // namespace
