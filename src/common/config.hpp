@@ -92,6 +92,14 @@ struct SimConfig {
   /// the lock-free per-PE progress publishers and the perfmodel-based
   /// ETA. -1 = off unless SVSIM_HTTP=<port> is set in the environment.
   int http_port = -1;
+  /// SingleSim's thread team (DESIGN.md §15): T host threads run the gate
+  /// loop over the one shared state vector, each owning a contiguous 1/T
+  /// slice. 0 = auto: the largest power of two <= min(the CPUs in this
+  /// process's affinity mask, 2^n >> default_block_exponent()), so a state
+  /// that fits one cache block runs on the calling thread alone. Otherwise
+  /// a power of two <= 2^n. Resolved once at construction; every other
+  /// backend ignores it.
+  int threads = 0;
 };
 
 } // namespace svsim

@@ -1,8 +1,5 @@
 #include "core/peer_sim.hpp"
 
-#include <thread>
-
-#include "common/logging.hpp"
 #include "core/pipeline.hpp"
 #include "shmem/barrier.hpp"
 
@@ -65,10 +62,9 @@ void PeerSim::run(const Circuit& circuit) {
   }
 
   // One host thread per device (the paper's `omp parallel num_threads
-  // (n_gpus)` launcher); device 0 runs on the calling thread.
+  // (n_gpus)` launcher).
   auto launch = [&](auto&& body) {
-    auto device_main = [&](int d) {
-      set_log_pe(d);
+    launch_team(n_dev_, [&](int d) {
       PeerSpace sp;
       sp.real_parts = real_ptrs_.data();
       sp.imag_parts = imag_ptrs_.data();
@@ -83,13 +79,7 @@ void PeerSim::run(const Circuit& circuit) {
       sp.traffic = cfg_.count_traffic ? &traffic_[static_cast<std::size_t>(d)]
                                       : nullptr;
       body(sp);
-    };
-    std::vector<std::thread> workers;
-    workers.reserve(n_dev - 1);
-    for (int d = 1; d < n_dev_; ++d) workers.emplace_back(device_main, d);
-    device_main(0);
-    for (auto& t : workers) t.join();
-    set_log_pe(-1); // the calling thread ran device 0
+    });
   };
 
   auto fold_comm = [&](obs::RunReport& rep) {

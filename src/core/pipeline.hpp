@@ -16,12 +16,16 @@
 //   8. close the run on the progress board.
 // A backend supplies only its team launcher, which builds each worker's
 // Space and calls the per-worker body, and its communication fold.
+// SingleSim and PeerSim start their teams with launch_team; ShmemSim's
+// runtime starts its own PEs.
 #pragma once
 
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "common/timer.hpp"
 #include "core/dispatch.hpp"
 #include "core/kernels/blocked.hpp"
@@ -33,6 +37,33 @@
 #include "obs/waitstate.hpp"
 
 namespace svsim {
+
+/// Run `fn(w)` for every worker w in [0, n) on a team of n host threads
+/// and join them: the paper's `omp parallel num_threads(n)` launcher.
+/// Worker 0 runs on the calling thread; each worker's log lines carry its
+/// id. A team of one is a plain call: no thread, no log tag. The gate loop
+/// does not throw: an exception escaping a worker ends the program (the
+/// flight recorder dumps on SIGABRT) instead of leaving its teammates
+/// blocked at a barrier.
+template <class Fn>
+void launch_team(int n, Fn&& fn) {
+  if (n == 1) {
+    fn(0);
+    return;
+  }
+  std::vector<std::thread> team;
+  team.reserve(static_cast<std::size_t>(n - 1));
+  for (int w = 1; w < n; ++w) {
+    team.emplace_back([&fn, w] {
+      set_log_pe(w);
+      fn(w);
+    });
+  }
+  set_log_pe(0);
+  fn(0);
+  for (auto& t : team) t.join();
+  set_log_pe(-1);
+}
 
 /// What a backend hands the run pipeline besides its launcher and its
 /// communication fold.

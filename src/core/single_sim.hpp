@@ -3,8 +3,15 @@
 // Homogeneous execution: the whole circuit runs as one simulation-kernel
 // loop of preloaded function pointers; specialized kernels per gate; and
 // optionally the architecture-specialized AVX2/AVX-512 kernel table
-// (Listing 2) selected at construction.
+// (Listing 2) selected at construction. The loop runs on a team of
+// SimConfig::threads host threads that share the one state vector — the
+// CPU analogue of the paper's grid-stride kernel over every SM, with a
+// team barrier for grid.sync() (DESIGN.md §15). Each worker owns a
+// contiguous 1/T slice for blocked windows and health scans; sampling
+// stays one sequential sweep.
 #pragma once
+
+#include <vector>
 
 #include "common/aligned.hpp"
 #include "common/config.hpp"
@@ -35,18 +42,20 @@ public:
   IdxType dim() const { return dim_; }
 
   SimdLevel simd_level() const { return cfg_.simd; }
+  /// The resolved team size T (SimConfig::threads).
+  int threads() const { return threads_; }
 
 private:
-  LocalSpace make_space();
-
   IdxType n_;
   IdxType dim_;
   SimConfig cfg_;
+  int threads_;
   obs::TrackedBuffer<ValType> real_;
   obs::TrackedBuffer<ValType> imag_;
   std::vector<IdxType> cbits_;
   MeasureCtx mctx_;
-  Rng rng_;
+  std::vector<Rng> rngs_;        // per-worker replicas, same seed (lockstep)
+  std::vector<ValType> scratch_; // one reduction slot per worker
   const KernelTable<LocalSpace>::Table* table_; // preloaded at construction
 };
 

@@ -29,7 +29,9 @@
 // sum-reduction, and a collective uniform draw that returns the same value
 // on every worker (each worker holds a replica of the same-seeded RNG and
 // advances it only inside collective draws, so the replicas stay in
-// lockstep).
+// lockstep). LocalSpace carries it too: SingleSim runs its gate loop on a
+// team of host threads over the one shared state vector (DESIGN.md §15),
+// and each worker's local_view() is its contiguous 1/T slice.
 #pragma once
 
 #include <type_traits>
@@ -56,15 +58,39 @@ struct MeasureCtx {
   IdxType n_qubits = 0;
 };
 
+/// The team sum-reduction shared by LocalSpace and PeerSpace: every
+/// worker posts its partial to its scratch slot, and after a barrier each
+/// one sums the slots in worker order, so all workers return the same
+/// value. One kReduction wait span covers both barriers (inner kBarrier
+/// scopes are nesting-suppressed), mirroring shmem's all_gather.
+inline ValType team_reduce_sum(shmem::Barrier* barrier, ValType* scratch,
+                               int worker, int n_workers, ValType v) {
+  obs::WaitScope wait(obs::WaitKind::kReduction);
+  scratch[worker] = v;
+  barrier->arrive_and_wait();
+  ValType total = 0;
+  for (int w = 0; w < n_workers; ++w) total += scratch[w];
+  barrier->arrive_and_wait(); // scratch reusable afterwards
+  return total;
+}
+
 // ---------------------------------------------------------------------------
-// LocalSpace: one device owns the full state vector.
+// LocalSpace: one device owns the full state vector; SingleSim's thread
+// team shares it.
 // ---------------------------------------------------------------------------
 struct LocalSpace {
   ValType* real = nullptr;
   ValType* imag = nullptr;
   IdxType dim = 0; // 2^n amplitudes
   MeasureCtx* mctx = nullptr;
-  Rng* rng = nullptr;
+  Rng* rng = nullptr; // per-worker replica, same seed on every worker
+
+  // SingleSim's thread team; the defaults are a team of one, which needs
+  // no barrier or scratch.
+  int worker_id = 0;
+  int num_workers = 1;
+  shmem::Barrier* barrier = nullptr; // the device "grid.sync()"
+  ValType* scratch = nullptr;        // n_workers slots for reductions
 
   // --- element access ---
   ValType get_real(IdxType i) const { return real[i]; }
@@ -72,15 +98,25 @@ struct LocalSpace {
   void set_real(IdxType i, ValType v) const { real[i] = v; }
   void set_imag(IdxType i, ValType v) const { imag[i] = v; }
 
-  // --- SPMD protocol (degenerate: one worker) ---
-  int worker() const { return 0; }
-  int n_workers() const { return 1; }
-  void sync() const {}
-  ValType reduce_sum(ValType v) const { return v; }
+  // --- SPMD protocol ---
+  int worker() const { return worker_id; }
+  int n_workers() const { return num_workers; }
+  void sync() const {
+    if (barrier != nullptr) barrier->arrive_and_wait();
+  }
+  ValType reduce_sum(ValType v) const {
+    if (num_workers == 1) return v;
+    return team_reduce_sum(barrier, scratch, worker_id, num_workers, v);
+  }
   ValType collective_uniform() const { return rng->next_double(); }
 
-  // --- the worker's own partition: all of it ---
-  LocalSpace local_view() const { return *this; }
+  // --- the worker's own contiguous 1/n_workers slice of the state ---
+  LocalSpace local_view() const {
+    if (num_workers == 1) return *this;
+    const IdxType part = dim / num_workers;
+    const IdxType first = part * worker_id;
+    return LocalSpace{real + first, imag + first, part, mctx, rng};
+  }
 };
 
 /// A partitioned Space (PeerSpace, ShmemSpace): the gate loop runs
@@ -161,15 +197,7 @@ struct PeerSpace {
   void sync() const { barrier->arrive_and_wait(); }
 
   ValType reduce_sum(ValType v) const {
-    // One kReduction wait span covering both barriers (inner kBarrier
-    // scopes are nesting-suppressed), mirroring shmem's all_gather.
-    obs::WaitScope wait(obs::WaitKind::kReduction);
-    scratch[worker_id] = v;
-    sync();
-    ValType total = 0;
-    for (int w = 0; w < num_workers; ++w) total += scratch[w];
-    sync(); // scratch reusable afterwards
-    return total;
+    return team_reduce_sum(barrier, scratch, worker_id, num_workers, v);
   }
 
   ValType collective_uniform() const { return rng->next_double(); }

@@ -168,7 +168,7 @@ std::string DiffSpec::label() const {
     os << "batched B=" << batch;
   } else {
     os << backend;
-    if (backend != "single" && backend != "generalized") os << " x" << workers;
+    if (backend != "generalized") os << " x" << workers;
   }
   os << (fusion ? " fusion=on" : " fusion=off")
      << (sched ? " sched=on" : " sched=off");
@@ -185,6 +185,7 @@ std::unique_ptr<Simulator> make_backend(const DiffSpec& spec,
   // multi-worker spec and no leg would cover the unremapped baseline.
   cfg.remap = spec.remap ? 1 : 0;
   if (spec.backend == "single") {
+    cfg.threads = spec.workers;
     return std::make_unique<SingleSim>(n_qubits, cfg);
   }
   if (spec.backend == "peer") {
@@ -304,7 +305,7 @@ std::vector<DiffSpec> default_sweep(int workers, std::uint64_t seed,
           if (remap && !partitioned) continue;
           DiffSpec s;
           s.backend = backend;
-          s.workers = partitioned ? workers : 1;
+          s.workers = workers;
           s.fusion = fusion;
           s.sched = sched;
           s.remap = remap;

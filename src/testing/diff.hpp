@@ -17,7 +17,8 @@ namespace svsim::testing {
 /// One point in the configuration space svsim_diffcheck sweeps.
 struct DiffSpec {
   std::string backend = "single"; // single | peer | shmem | coarse | generalized
-  int workers = 1;                // ignored by single/generalized
+  int workers = 1;                // team size; single: SimConfig::threads
+                                  // (ignored by generalized)
   bool fusion = false;            // run through fuse_gates first
   bool sched = false;             // cache-blocked gate-window engine on
   /// Communication-avoiding remap axis: pins SimConfig::remap to 1 (on)
@@ -72,7 +73,7 @@ OracleResult oracle_run(const Circuit& c, std::uint64_t seed, IdxType shots);
 DiffResult diff_run(const Circuit& c, const OracleResult& oracle,
                     const DiffSpec& spec);
 
-/// The full default sweep: {single, peer xK, shmem xK, coarse xK}
+/// The full default sweep: {single xK, peer xK, shmem xK, coarse xK}
 /// x {fusion off/on} x {sched off/on}.
 std::vector<DiffSpec> default_sweep(int workers, std::uint64_t seed,
                                     IdxType shots, ValType tol);

@@ -567,5 +567,89 @@ TEST(BackendDeterminism, SamplesMatchAcrossBackends) {
   }
 }
 
+// SingleSim's thread team (DESIGN.md §15): T workers share the one state
+// vector, each owning a contiguous 1/T slice. Unitary kernels are
+// elementwise and sampling is one sequential sweep, so the team must
+// reproduce the one-thread run exactly; measure/reset reduce per-worker
+// partials, whose summation order may move the state by an ulp.
+SimConfig team_config(int threads, int window) {
+  SimConfig cfg;
+  cfg.threads = threads;
+  cfg.sched_window = window;
+  return cfg;
+}
+
+template <class Check>
+void for_each_team_config(Check&& check) {
+  for (const IdxType n : {3, 6, 10}) {
+    for (const int window : {0, -1, 2}) {
+      for (const int t : {2, 4}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " sched_window=" +
+                     std::to_string(window) + " threads=" +
+                     std::to_string(t));
+        check(n, window, t);
+      }
+    }
+  }
+}
+
+void expect_team_report(const SingleSim& sim, IdxType n, int t) {
+  const obs::RunReport& rep = sim.last_report();
+  EXPECT_EQ(rep.n_workers, t);
+  EXPECT_LE(rep.sched.block_exp, n - log2_exact(t));
+}
+
+/// The sched_window a one-thread run needs to execute `team`'s schedule.
+/// A team clamps the block exponent to its slice (n − log2 T), so at
+/// small n auto resolves to a smaller b than one thread would, and a
+/// different windowing rounds collapsed diagonal runs differently.
+int same_schedule_window(const SingleSim& team) {
+  const obs::SchedulerStats& st = team.last_report().sched;
+  return st.enabled ? st.block_exp : 0;
+}
+
+TEST(SingleTeam, UnitaryCircuitsMatchOneThreadBitForBit) {
+  for_each_team_config([](IdxType n, int window, int t) {
+    const Circuit c =
+        random_circuit(n, 120, 1000 + static_cast<std::uint64_t>(n));
+    SingleSim team(n, team_config(t, window));
+    ASSERT_EQ(team.threads(), t);
+    team.run(c);
+    expect_team_report(team, n, t);
+    SingleSim one(n, team_config(1, same_schedule_window(team)));
+    one.run(c);
+    EXPECT_EQ(team.state().amps, one.state().amps);
+    EXPECT_EQ(team.sample(256), one.sample(256));
+  });
+}
+
+TEST(SingleTeam, MidCircuitMeasureAndResetMatchOneThread) {
+  for_each_team_config([](IdxType n, int window, int t) {
+    Circuit c = random_circuit(n, 40, 2000 + static_cast<std::uint64_t>(n));
+    for (IdxType q = 0; q < n; ++q) {
+      c.measure(q, q);
+      c.append(make_gate(OP::H, q));
+      if (q % 2 == 1) c.reset(q - 1);
+    }
+    c.append(random_circuit(n, 40, 3000 + static_cast<std::uint64_t>(n)));
+    SingleSim team(n, team_config(t, window));
+    team.run(c);
+    expect_team_report(team, n, t);
+    SingleSim one(n, team_config(1, same_schedule_window(team)));
+    one.run(c);
+    EXPECT_EQ(team.cbits(), one.cbits());
+    EXPECT_LT(team.state().max_diff(one.state()), 1e-12);
+  });
+}
+
+TEST(SingleTeam, ThreadCountIsResolvedAtConstruction) {
+  EXPECT_THROW(SingleSim(6, team_config(3, -1)), Error);
+  EXPECT_THROW(SingleSim(6, team_config(-2, -1)), Error);
+  EXPECT_THROW(SingleSim(3, team_config(16, -1)), Error);
+  EXPECT_EQ(SingleSim(3, team_config(8, -1)).threads(), 8);
+  // Auto: one thread while the state fits one cache block.
+  EXPECT_EQ(SingleSim(8).threads(), 1);
+}
+
 } // namespace
 } // namespace svsim

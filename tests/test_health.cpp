@@ -5,6 +5,7 @@
 // path (SIGFPE death test).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <csignal>
@@ -387,11 +388,14 @@ std::unique_ptr<Simulator> make_backend(const std::string& kind, IdxType n,
                                         const SimConfig& cfg) {
   if (kind == "peer") return std::make_unique<PeerSim>(n, 2, cfg);
   if (kind == "shmem") return std::make_unique<ShmemSim>(n, 2, cfg);
-  return std::make_unique<SingleSim>(n, cfg);
+  SimConfig single = cfg;
+  if (kind == "single x2") single.threads = 2; // a team over one state
+  return std::make_unique<SingleSim>(n, single);
 }
 
-/// On every dispatch backend, with and without the blocked schedule, each
-/// worker's ring ends with this run's gates in circuit order, and each
+/// On every dispatch backend and on SingleSim's thread team, with and
+/// without the blocked schedule, each worker's ring ends with this run's
+/// gates in circuit order and a final health checkpoint, and each
 /// worker's last gate published to the progress board is the circuit's
 /// last.
 TEST(FlightRecorder, RunDrainsGateEventsIntoTheReport) {
@@ -402,24 +406,35 @@ TEST(FlightRecorder, RunDrainsGateEventsIntoTheReport) {
   const auto n_gates = static_cast<std::size_t>(c.n_gates());
   obs::ProgressBoard& board = obs::ProgressBoard::global();
   board.set_enabled(true);
-  for (const char* backend : {"single", "peer", "shmem"}) {
+  for (const char* backend : {"single", "single x2", "peer", "shmem"}) {
     for (const int window : {0, 6}) {
       SCOPED_TRACE(std::string(backend) + " sched_window=" +
                    std::to_string(window));
       SimConfig cfg; // flight on by default
       cfg.sched_window = window;
       cfg.remap = 0; // gate ids are the submitted circuit's
+      cfg.health_every_n = static_cast<int>(n_gates); // one final checkpoint
       const auto sim = make_backend(backend, 6, cfg);
       sim->run(c);
       const obs::RunReport& rep = sim->last_report();
       EXPECT_EQ(rep.sched.active, window != 0);
+      // Each worker scans only its own slice: a view of the whole state
+      // per worker would sum to a norm of n_workers.
+      EXPECT_EQ(rep.health.checks, 1u);
+      EXPECT_NEAR(rep.health.last_norm2, 1.0, 1e-12);
       const auto& flight = rep.flight;
       ASSERT_GE(flight.size(), n_gates);
-      // The tail of the drained stream is this run's gates, newest last.
-      const obs::FlightEvent& last = flight.back();
-      EXPECT_EQ(last.kind, obs::FlightEvent::kGate);
-      EXPECT_EQ(static_cast<OP>(last.op), OP::CX);
-      EXPECT_EQ(last.gate_id, n_gates);
+      // The tail of the drained stream is this run's final checkpoint,
+      // right after its last gate.
+      EXPECT_EQ(flight.back().kind, obs::FlightEvent::kCheckpoint);
+      EXPECT_EQ(flight.back().gate_id, n_gates);
+      const auto last = std::find_if(
+          flight.rbegin(), flight.rend(), [](const obs::FlightEvent& e) {
+            return e.kind == obs::FlightEvent::kGate;
+          });
+      ASSERT_NE(last, flight.rend());
+      EXPECT_EQ(static_cast<OP>(last->op), OP::CX);
+      EXPECT_EQ(last->gate_id, n_gates);
       for (int w = 0; w < rep.n_workers; ++w) {
         std::vector<obs::FlightEvent> gates;
         for (const obs::FlightEvent& e : flight) {

@@ -275,20 +275,22 @@ std::unique_ptr<Simulator> make_backend(const std::string& kind, IdxType n,
                                         const SimConfig& cfg) {
   if (kind == "peer") return std::make_unique<PeerSim>(n, 2, cfg);
   if (kind == "shmem") return std::make_unique<ShmemSim>(n, 2, cfg);
-  return std::make_unique<SingleSim>(n, cfg);
+  SimConfig single = cfg;
+  if (kind == "single x2") single.threads = 2; // a team over one state
+  return std::make_unique<SingleSim>(n, single);
 }
 
 /// Health checkpoints must fire at the same gate ids as the per-gate loop
 /// even when the circuit windows (the blocked loop checks per window), on
-/// every dispatch backend. The profiled per-op counts and each worker's
-/// last gate published to the progress board do not depend on the
-/// schedule either.
+/// every dispatch backend and on SingleSim's thread team. The profiled
+/// per-op counts and each worker's last gate published to the progress
+/// board do not depend on the schedule either.
 TEST(ScheduleHealth, CheckpointCountMatchesPerGateLoop) {
   Circuit c(10);
   for (int i = 0; i < 10; ++i) c.h(i);
   obs::ProgressBoard& board = obs::ProgressBoard::global();
   board.set_enabled(true);
-  for (const char* backend : {"single", "peer", "shmem"}) {
+  for (const char* backend : {"single", "single x2", "peer", "shmem"}) {
     std::vector<obs::RunReport> reports;
     for (const int window : {0, 6}) {
       SCOPED_TRACE(std::string(backend) + " sched_window=" +
@@ -304,6 +306,9 @@ TEST(ScheduleHealth, CheckpointCountMatchesPerGateLoop) {
       EXPECT_EQ(rep.sched.active, window != 0);
       EXPECT_EQ(rep.health.checks, 3u);
       EXPECT_FALSE(rep.health.tripped());
+      // Each worker scans only its own slice: a view of the whole state
+      // per worker would sum to a norm of n_workers.
+      EXPECT_NEAR(rep.health.last_norm2, 1.0, 1e-12);
       EXPECT_TRUE(rep.profiled);
       EXPECT_GT(rep.of(OP::H).seconds, 0);
       const obs::ProgressSnapshot snap = board.snapshot();

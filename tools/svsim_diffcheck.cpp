@@ -61,7 +61,7 @@ void usage() {
       "  --seed S        campaign seed (default 42)\n"
       "  --qubits N      qubits per random circuit (default 6)\n"
       "  --gates N       gates per random circuit (default 100)\n"
-      "  --workers K     workers for peer/shmem/coarse (default 4)\n"
+      "  --workers K     team size for single/peer/shmem/coarse (default 4)\n"
       "  --shots N       sampling-equivalence shots (default 256)\n"
       "  --tol T         amplitude tolerance (default 1e-9)\n"
       "  --roundtrips N  QASM round-trip fuzz programs (default 50)\n"
