@@ -1,10 +1,11 @@
 // Specialized 2-qubit gate kernels.
 //
-// Loop bounds [begin, end) index amplitude quadruples per Eq. (2) over
-// (p, q) = (min, max) of the two operand qubits. Controlled gates touch
-// only the control-set half of each quadruple; diagonal gates (cz, cu1,
-// crz, rzz) never move amplitudes at all — this is where specialization
-// buys the most over a generic 4x4 multiply.
+// Each kernel is a body handed to a quadruple walk of
+// core/kernels/apply.hpp; bounds [begin, end) index amplitude quadruples
+// per Eq. (2) over (p, q) = (min, max) of the two operand qubits.
+// Controlled gates touch only the control-set half of each quadruple;
+// diagonal gates (cz, cu1, crz, rzz) never move amplitudes at all — this
+// is where specialization buys the most over a generic 4x4 multiply.
 #pragma once
 
 #include <cmath>
@@ -16,61 +17,29 @@ namespace svsim::kernels {
 
 template <class Space>
 void kern_cx(const Gate& g, const Space& sp, IdxType begin, IdxType end) {
-  const IdxType c = g.qb0;
-  const IdxType t = g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType coff = pow2(c);
-  const IdxType toff = pow2(t);
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = quad_base(i, p, q);
-    const IdxType a = s + coff;        // control 1, target 0
-    const IdxType b = s + coff + toff; // control 1, target 1
-    const ValType ra = sp.get_real(a);
-    const ValType ia = sp.get_imag(a);
-    sp.set_real(a, sp.get_real(b));
-    sp.set_imag(a, sp.get_imag(b));
-    sp.set_real(b, ra);
-    sp.set_imag(b, ia);
-  }
+  // Swap control 1 / target 0 with control 1 / target 1.
+  const IdxType coff = pow2(g.qb0);
+  walk_quads(sp, g.qb0, g.qb1, coff, coff + pow2(g.qb1), begin, end,
+             [](ValType ra, ValType ia, ValType rb, ValType ib) {
+               return AmpPair{rb, ib, ra, ia};
+             });
 }
 
 template <class Space>
 void kern_cy(const Gate& g, const Space& sp, IdxType begin, IdxType end) {
-  const IdxType c = g.qb0;
-  const IdxType t = g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType coff = pow2(c);
-  const IdxType toff = pow2(t);
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = quad_base(i, p, q);
-    const IdxType a = s + coff;
-    const IdxType b = s + coff + toff;
-    const ValType ra = sp.get_real(a);
-    const ValType ia = sp.get_imag(a);
-    const ValType rb = sp.get_real(b);
-    const ValType ib = sp.get_imag(b);
-    sp.set_real(a, ib);   // new(10) = -i * old(11)
-    sp.set_imag(a, -rb);
-    sp.set_real(b, -ia);  // new(11) = +i * old(10)
-    sp.set_imag(b, ra);
-  }
+  // new(10) = -i * old(11), new(11) = +i * old(10).
+  const IdxType coff = pow2(g.qb0);
+  walk_quads(sp, g.qb0, g.qb1, coff, coff + pow2(g.qb1), begin, end,
+             [](ValType ra, ValType ia, ValType rb, ValType ib) {
+               return AmpPair{ib, -rb, -ia, ra};
+             });
 }
 
 template <class Space>
 void kern_cz(const Gate& g, const Space& sp, IdxType begin, IdxType end) {
   // Diagonal: negate only the |11> amplitude — a quarter of the data.
-  const IdxType c = g.qb0;
-  const IdxType t = g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType off = pow2(p) + pow2(q);
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType b = quad_base(i, p, q) + off;
-    sp.set_real(b, -sp.get_real(b));
-    sp.set_imag(b, -sp.get_imag(b));
-  }
+  walk_quad_ones(sp, g.qb0, g.qb1, pow2(g.qb0) + pow2(g.qb1), begin, end,
+                 [](ValType rb, ValType ib) { return Amp{-rb, -ib}; });
 }
 
 template <class Space>
@@ -82,23 +51,10 @@ void kern_ch(const Gate& g, const Space& sp, IdxType begin, IdxType end) {
 template <class Space>
 void kern_swap(const Gate& g, const Space& sp, IdxType begin, IdxType end) {
   // Exchange |01> and |10>; the diagonal corners never move.
-  const IdxType a = g.qb0;
-  const IdxType b = g.qb1;
-  const IdxType p = a < b ? a : b;
-  const IdxType q = a < b ? b : a;
-  const IdxType poff = pow2(p);
-  const IdxType qoff = pow2(q);
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = quad_base(i, p, q);
-    const IdxType lo = s + poff;
-    const IdxType hi = s + qoff;
-    const ValType r = sp.get_real(lo);
-    const ValType im = sp.get_imag(lo);
-    sp.set_real(lo, sp.get_real(hi));
-    sp.set_imag(lo, sp.get_imag(hi));
-    sp.set_real(hi, r);
-    sp.set_imag(hi, im);
-  }
+  walk_quads(sp, g.qb0, g.qb1, pow2(g.qb0), pow2(g.qb1), begin, end,
+             [](ValType r0, ValType i0, ValType r1, ValType i1) {
+               return AmpPair{r1, i1, r0, i0};
+             });
 }
 
 template <class Space>
@@ -120,46 +76,25 @@ void kern_cry(const Gate& g, const Space& sp, IdxType begin, IdxType end) {
 template <class Space>
 void kern_crz(const Gate& g, const Space& sp, IdxType begin, IdxType end) {
   // Diagonal on the control-set half: |10> *= e^{-i t/2}, |11> *= e^{+i t/2}.
-  const IdxType c = g.qb0;
-  const IdxType t = g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType coff = pow2(c);
-  const IdxType toff = pow2(t);
+  const IdxType coff = pow2(g.qb0);
   const ValType cr = std::cos(g.theta / 2);
   const ValType si = std::sin(g.theta / 2);
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = quad_base(i, p, q);
-    const IdxType a = s + coff;
-    const IdxType b = s + coff + toff;
-    const ValType ra = sp.get_real(a);
-    const ValType ia = sp.get_imag(a);
-    sp.set_real(a, cr * ra + si * ia);
-    sp.set_imag(a, cr * ia - si * ra);
-    const ValType rb = sp.get_real(b);
-    const ValType ib = sp.get_imag(b);
-    sp.set_real(b, cr * rb - si * ib);
-    sp.set_imag(b, cr * ib + si * rb);
-  }
+  walk_quads(sp, g.qb0, g.qb1, coff, coff + pow2(g.qb1), begin, end,
+             [cr, si](ValType ra, ValType ia, ValType rb, ValType ib) {
+               return AmpPair{cr * ra + si * ia, cr * ia - si * ra,
+                              cr * rb - si * ib, cr * ib + si * rb};
+             });
 }
 
 template <class Space>
 void kern_cu1(const Gate& g, const Space& sp, IdxType begin, IdxType end) {
   // Diagonal: only |11> *= e^{i lam} — one amplitude per quadruple.
-  const IdxType c = g.qb0;
-  const IdxType t = g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType off = pow2(p) + pow2(q);
   const ValType cr = std::cos(g.theta);
   const ValType ci = std::sin(g.theta);
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType b = quad_base(i, p, q) + off;
-    const ValType rb = sp.get_real(b);
-    const ValType ib = sp.get_imag(b);
-    sp.set_real(b, cr * rb - ci * ib);
-    sp.set_imag(b, cr * ib + ci * rb);
-  }
+  walk_quad_ones(sp, g.qb0, g.qb1, pow2(g.qb0) + pow2(g.qb1), begin, end,
+                 [cr, ci](ValType rb, ValType ib) {
+                   return Amp{cr * rb - ci * ib, cr * ib + ci * rb};
+                 });
 }
 
 template <class Space>
@@ -171,63 +106,31 @@ void kern_cu3(const Gate& g, const Space& sp, IdxType begin, IdxType end) {
 template <class Space>
 void kern_rxx(const Gate& g, const Space& sp, IdxType begin, IdxType end) {
   // exp(-i t/2 X@X) couples (|00>,|11>) and (|01>,|10>) independently:
-  // new_u = c*u - i*s*v, new_v = c*v - i*s*u for each coupled pair.
-  const IdxType a = g.qb0;
-  const IdxType b = g.qb1;
-  const IdxType p = a < b ? a : b;
-  const IdxType q = a < b ? b : a;
-  const IdxType poff = pow2(p);
-  const IdxType qoff = pow2(q);
+  // new_u = c*u - i*s*v, new_v = c*v - i*s*u for each coupled pair, so
+  // each pair is its own walk (and the body is symmetric in u, v).
+  const IdxType aoff = pow2(g.qb0);
+  const IdxType boff = pow2(g.qb1);
   const ValType c = std::cos(g.theta / 2);
   const ValType s = std::sin(g.theta / 2);
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType base = quad_base(i, p, q);
-    const IdxType i00 = base;
-    const IdxType i01 = base + poff;
-    const IdxType i10 = base + qoff;
-    const IdxType i11 = base + poff + qoff;
-    // (00, 11) pair.
-    {
-      const ValType ru = sp.get_real(i00), iu = sp.get_imag(i00);
-      const ValType rv = sp.get_real(i11), iv = sp.get_imag(i11);
-      sp.set_real(i00, c * ru + s * iv);
-      sp.set_imag(i00, c * iu - s * rv);
-      sp.set_real(i11, c * rv + s * iu);
-      sp.set_imag(i11, c * iv - s * ru);
-    }
-    // (01, 10) pair.
-    {
-      const ValType ru = sp.get_real(i01), iu = sp.get_imag(i01);
-      const ValType rv = sp.get_real(i10), iv = sp.get_imag(i10);
-      sp.set_real(i01, c * ru + s * iv);
-      sp.set_imag(i01, c * iu - s * rv);
-      sp.set_real(i10, c * rv + s * iu);
-      sp.set_imag(i10, c * iv - s * ru);
-    }
-  }
+  const auto body = [c, s](ValType ru, ValType iu, ValType rv, ValType iv) {
+    return AmpPair{c * ru + s * iv, c * iu - s * rv, c * rv + s * iu,
+                   c * iv - s * ru};
+  };
+  walk_quads(sp, g.qb0, g.qb1, 0, aoff + boff, begin, end, body);
+  walk_quads(sp, g.qb0, g.qb1, aoff, boff, begin, end, body);
 }
 
 template <class Space>
 void kern_rzz(const Gate& g, const Space& sp, IdxType begin, IdxType end) {
   // qelib1 semantics: diag(1, e^{it}, e^{it}, 1) — touches only the
   // middle two amplitudes of each quadruple.
-  const IdxType a = g.qb0;
-  const IdxType b = g.qb1;
-  const IdxType p = a < b ? a : b;
-  const IdxType q = a < b ? b : a;
-  const IdxType poff = pow2(p);
-  const IdxType qoff = pow2(q);
   const ValType cr = std::cos(g.theta);
   const ValType ci = std::sin(g.theta);
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType base = quad_base(i, p, q);
-    for (const IdxType idx : {base + poff, base + qoff}) {
-      const ValType r = sp.get_real(idx);
-      const ValType im = sp.get_imag(idx);
-      sp.set_real(idx, cr * r - ci * im);
-      sp.set_imag(idx, cr * im + ci * r);
-    }
-  }
+  walk_quads(sp, g.qb0, g.qb1, pow2(g.qb0), pow2(g.qb1), begin, end,
+             [cr, ci](ValType r0, ValType i0, ValType r1, ValType i1) {
+               return AmpPair{cr * r0 - ci * i0, cr * i0 + ci * r0,
+                              cr * r1 - ci * i1, cr * i1 + ci * r1};
+             });
 }
 
 } // namespace svsim::kernels

@@ -17,8 +17,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/kernels/apply.hpp"
 #include "core/space.hpp"
+#include "ir/gate.hpp"
 
 namespace svsim::kernels {
 

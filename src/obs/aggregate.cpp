@@ -1,6 +1,7 @@
 #include "obs/aggregate.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -245,11 +246,6 @@ inline void fnv(std::uint64_t* h, const void* data, std::size_t len) {
   }
 }
 
-template <typename T>
-inline void fnv_pod(std::uint64_t* h, T v) {
-  fnv(h, &v, sizeof(v));
-}
-
 std::uint64_t fnv_str(const std::string& s) {
   std::uint64_t h = kFnvOffset;
   fnv(&h, s.data(), s.size());
@@ -259,16 +255,23 @@ std::uint64_t fnv_str(const std::string& s) {
 } // namespace
 
 std::uint64_t hash_circuit(const Circuit& circuit) {
+  // FNV-1a over whole 64-bit words (one multiply per field, not per
+  // byte); the xor-shift folds each word's high bits, which the multiply
+  // only carries upward, back into the low half for the next word.
   std::uint64_t h = kFnvOffset;
-  fnv_pod(&h, static_cast<std::int64_t>(circuit.n_qubits()));
+  const auto word = [&h](std::uint64_t w) {
+    h = (h ^ w) * kFnvPrime;
+    h ^= h >> 32;
+  };
+  word(static_cast<std::uint64_t>(circuit.n_qubits()));
   for (const Gate& g : circuit.gates()) {
-    fnv_pod(&h, static_cast<std::int32_t>(g.op));
-    fnv_pod(&h, static_cast<std::int64_t>(g.qb0));
-    fnv_pod(&h, static_cast<std::int64_t>(g.qb1));
-    fnv_pod(&h, static_cast<std::int64_t>(g.cbit));
-    fnv_pod(&h, g.theta);
-    fnv_pod(&h, g.phi);
-    fnv_pod(&h, g.lam);
+    word(static_cast<std::uint64_t>(g.op));
+    word(static_cast<std::uint64_t>(g.qb0));
+    word(static_cast<std::uint64_t>(g.qb1));
+    word(static_cast<std::uint64_t>(g.cbit));
+    word(std::bit_cast<std::uint64_t>(g.theta));
+    word(std::bit_cast<std::uint64_t>(g.phi));
+    word(std::bit_cast<std::uint64_t>(g.lam));
   }
   return h;
 }

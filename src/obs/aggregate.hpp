@@ -110,9 +110,9 @@ void fold_waitstate(RunReport& rep, WaitRecorder& rec,
 /// "model name" from /proc/cpuinfo, or "unknown-cpu". Cached.
 const std::string& cpu_model();
 
-/// 64-bit FNV-1a over a circuit-shape digest (ops, operand qubits, angle
-/// bits, width) — the run-ledger key component that identifies "the same
-/// circuit" across runs and processes.
+/// 64-bit word-wise FNV-1a over a circuit-shape digest (ops, operand
+/// qubits, angle bits, width) — the run-ledger key component that
+/// identifies "the same circuit" across runs and processes.
 std::uint64_t hash_circuit(const Circuit& circuit);
 
 /// Format a 64-bit hash the way the report/ledger JSON carries it.

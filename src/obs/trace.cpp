@@ -25,8 +25,11 @@ double trace_now_us() {
 }
 
 Trace& Trace::global() {
-  static Trace t;
-  return t;
+  // Leaked on purpose (like Httpd): the memtrack sampler thread flushes
+  // its RSS counter here until ~MemRegistry joins it, which can be after
+  // a function-local static Trace would have been destroyed.
+  static Trace* t = new Trace();
+  return *t;
 }
 
 bool Trace::enabled() const { return !path().empty(); }

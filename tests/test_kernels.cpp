@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -123,6 +124,130 @@ INSTANTIATE_TEST_SUITE_P(AllOps, Kernel2QTest,
                                            OP::SWAP, OP::CRX, OP::CRY,
                                            OP::CRZ, OP::CU1, OP::CU3, OP::RXX,
                                            OP::RZZ));
+
+// Sub-range calls: a worker's slice, a blocked window's block and a SIMD
+// kernel's scalar tail all start mid-run, where a contiguous run of 2^q
+// pairs (2^p quadruples) is split between two calls. Every kernel of the
+// default table, at every operand position, split at cuts that fall
+// mid-run (also for q in {0, 1, 2}, where a run is shorter than a
+// vector) must leave the state bit-for-bit equal to one whole-range call.
+// A SIMD table's own kernels are held to 1e-15 instead: their 8-lane
+// bodies use explicit FMAs and their tails the default kernel, so a cut
+// that moves an item from lanes to tail may change its last bit.
+class KernelSubRangeTest : public ::testing::TestWithParam<OP> {};
+
+TEST_P(KernelSubRangeTest, SplitCallsMatchOneWholeRangeCall) {
+  const OP op = GetParam();
+  const StateVector init = random_state(kN, 2718);
+  std::vector<std::pair<IdxType, IdxType>> operands;
+  for (IdxType a = 0; a < kN; ++a) {
+    if (op_info(op).n_qubits == 1) {
+      operands.emplace_back(a, -1);
+      continue;
+    }
+    for (IdxType b = 0; b < kN; ++b) {
+      if (b != a) operands.emplace_back(a, b);
+    }
+  }
+  const auto apply = [&](KernelFn<LocalSpace> fn, const Gate& g,
+                         const std::vector<IdxType>& bounds) {
+    std::vector<ValType> re, im;
+    for (const Complex& amp : init.amps) {
+      re.push_back(amp.real());
+      im.push_back(amp.imag());
+    }
+    const LocalSpace sp{re.data(), im.data(), pow2(kN)};
+    for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+      fn(g, sp, bounds[k], bounds[k + 1]);
+    }
+    re.insert(re.end(), im.begin(), im.end());
+    return re;
+  };
+  const KernelFn<LocalSpace> default_fn =
+      KernelTable<LocalSpace>::get()[static_cast<std::size_t>(op)];
+  for (const SimdLevel level : available_levels()) {
+    const KernelFn<LocalSpace> fn =
+        local_kernel_table(level)[static_cast<std::size_t>(op)];
+    ASSERT_NE(fn, nullptr);
+    for (const auto& [a, b] : operands) {
+      Gate g = b < 0 ? make_gate(op, a) : make_gate(op, a, b);
+      g.theta = 0.613;
+      g.phi = -0.35;
+      g.lam = 1.2;
+      const IdxType work = gate_work_items(g, kN);
+      const std::vector<ValType> whole = apply(fn, g, {0, work});
+      const std::vector<ValType> split =
+          apply(fn, g, {0, 1, 3, 5, work / 2 + 1, work});
+      const std::string where = std::string(op_name(op)) + " (" +
+                                std::to_string(a) + "," + std::to_string(b) +
+                                ") simd " + to_string(level);
+      if (fn == default_fn) {
+        EXPECT_EQ(std::memcmp(whole.data(), split.data(),
+                              whole.size() * sizeof(ValType)),
+                  0)
+            << where;
+      } else {
+        for (std::size_t k = 0; k < whole.size(); ++k) {
+          ASSERT_NEAR(whole[k], split[k], 1e-15) << where << " at " << k;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOps, KernelSubRangeTest,
+    ::testing::Values(OP::ID, OP::X, OP::Y, OP::Z, OP::H, OP::S, OP::SDG,
+                      OP::T, OP::TDG, OP::RX, OP::RY, OP::RZ, OP::U1, OP::U2,
+                      OP::U3, OP::CX, OP::CY, OP::CZ, OP::CH, OP::SWAP,
+                      OP::CRX, OP::CRY, OP::CRZ, OP::CU1, OP::CU3, OP::RXX,
+                      OP::RZZ),
+    [](const ::testing::TestParamInfo<OP>& info) {
+      return std::string(op_name(info.param));
+    });
+
+// The accessor path of the walks: worker 0 of a 2-device PeerSpace runs
+// its per-gate slice (the first half of the work items) of one gate of
+// each walk shape, and every touched amplitude costs exactly two gets
+// and two sets, counted local (partition 0, amplitudes 0..15) or remote
+// (partition 1, amplitudes 16..31).
+TEST(KernelSubRange, PeerAccessCountsMatchHandCounts) {
+  constexpr IdxType kQubits = 5; // partition bit 4
+  std::vector<ValType> re0(16, 0.25), im0(16, 0), re1(16, 0.25), im1(16, 0);
+  ValType* const re[2] = {re0.data(), re1.data()};
+  ValType* const im[2] = {im0.data(), im1.data()};
+  struct Case {
+    Gate g;
+    std::uint64_t local, remote;
+  };
+  const Case cases[] = {
+      // Pair walk, 8 pairs: q = 1 pairs lie in partition 0; q = 4 pairs
+      // straddle it, one member each side.
+      {make_gate(OP::H, 1), 8 * 8, 0},
+      {make_gate(OP::H, 4), 8 * 4, 8 * 4},
+      // One-position walk, 8 pairs: only the |1> member.
+      {make_gate(OP::T, 1), 8 * 4, 0},
+      {make_gate(OP::T, 4), 0, 8 * 4},
+      // Quadruple pair walk, 4 quadruples: control 4 puts both touched
+      // members in partition 1; target 4 puts one on each side.
+      {make_gate(OP::CX, 4, 0), 0, 4 * 8},
+      {make_gate(OP::CX, 0, 4), 4 * 4, 4 * 4},
+      // One-position quadruple walk: |11> only.
+      {make_gate(OP::CZ, 0, 4), 0, 4 * 4},
+      // Two quadruple pair walks: all four members, two per side.
+      {make_gate(OP::RXX, 0, 4), 4 * 8, 4 * 8},
+  };
+  for (const Case& c : cases) {
+    PeerTraffic traffic;
+    const PeerSpace sp{re, im, 4, pow2(kQubits), nullptr, nullptr, 0, 2,
+                       nullptr, nullptr, &traffic};
+    const IdxType work = gate_work_items(c.g, kQubits);
+    KernelTable<PeerSpace>::get()[static_cast<std::size_t>(c.g.op)](
+        c.g, sp, 0, work / 2);
+    EXPECT_EQ(traffic.local_access, c.local) << c.g.str();
+    EXPECT_EQ(traffic.remote_access, c.remote) << c.g.str();
+  }
+}
 
 // Norm preservation under long random unitary circuits — per SIMD level.
 class NormPreservationTest : public ::testing::TestWithParam<int> {};
