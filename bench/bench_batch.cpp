@@ -170,7 +170,6 @@ int main() {
       // these shot counts — would need a narrower engine).
       SimConfig cfg;
       cfg.seed = seed;
-      cfg.simd = max_simd_level();
       svsim::BatchedSim full(n, static_cast<IdxType>(B), cfg);
       for (IdxType base = 0; base < shots; base += B) {
         const IdxType Bc = std::min<IdxType>(B, shots - base);

@@ -1,11 +1,12 @@
-// Figure 14: simulation performance comparison — SV-Sim (CPU, CPU+AVX-512,
-// V100) against the default simulators of Qiskit / Cirq / Q#.
+// Figure 14: simulation performance comparison — SV-Sim (CPU, V100)
+// against the default simulators of Qiskit / Cirq / Q#.
 //
 // The external frameworks are represented by the in-repo GeneralizedSim
 // baseline (dense 1-/2-qubit unitary application + per-gate runtime
 // dispatch — the execution model §3.2.1 attributes to Aer/qsim). Columns:
-//   svsim_cpu        — measured SingleSim, scalar specialized kernels
-//   svsim_cpu_avx512 — measured SingleSim, AVX-512 kernel table
+//   svsim_cpu        — measured SingleSim: the specialized kernels, whose
+//                      walks the compiler vectorizes for the build's
+//                      -march (AVX-512 on a native AVX-512 host)
 //   svsim_v100       — modeled V100 latency (machine model)
 //   generic_sim      — measured GeneralizedSim (the Aer/qsim-style stand-in)
 // Shape claim (§4.4): SV-Sim is significantly faster (paper: ~10x on
@@ -48,7 +49,6 @@ int main() {
 
   bench::Table t("circuit");
   t.add_column("svsim_cpu");
-  if (max_simd_level() >= SimdLevel::kAvx512) t.add_column("cpu_avx512");
   t.add_column("svsim_v100");
   t.add_column("generic_sim");
   t.add_column("speedup");
@@ -61,16 +61,8 @@ int main() {
     const Circuit c = cb::make_table4(id);
     const IdxType n = c.n_qubits();
 
-    SingleSim scalar(n);
-    const double t_scalar = measure_ms(scalar, c);
-
-    double t_avx = -1;
-    if (max_simd_level() >= SimdLevel::kAvx512) {
-      SimConfig cfg;
-      cfg.simd = SimdLevel::kAvx512;
-      SingleSim avx(n, cfg);
-      t_avx = measure_ms(avx, c);
-    }
+    SingleSim svsim(n);
+    const double t_sv = measure_ms(svsim, c);
 
     GeneralizedSim generic(n);
     const double t_generic = measure_ms(generic, c);
@@ -78,13 +70,11 @@ int main() {
     const double t_gpu = v100.single_device_ms(c);
 
     std::vector<double> row;
-    row.push_back(t_scalar);
-    if (t_avx >= 0) row.push_back(t_avx);
+    row.push_back(t_sv);
     row.push_back(t_gpu);
     row.push_back(t_generic);
-    const double best_sv = t_avx >= 0 ? std::min(t_scalar, t_avx) : t_scalar;
-    row.push_back(t_generic / best_sv);
-    sum_speedup += t_generic / best_sv;
+    row.push_back(t_generic / t_sv);
+    sum_speedup += t_generic / t_sv;
     ++count;
     t.add_row(id, row);
   }

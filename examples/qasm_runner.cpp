@@ -210,11 +210,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<Simulator> sim;
     std::unique_ptr<BatchedSim> bsim;
     if (batch > 1) {
-      // Default the batched engine to the widest lanes this CPU carries —
-      // the batch-innermost layout exists to feed them.
-      SimConfig bcfg = cfg;
-      if (bcfg.simd == SimdLevel::kScalar) bcfg.simd = max_simd_level();
-      bsim = std::make_unique<BatchedSim>(circuit.n_qubits(), batch, bcfg);
+      bsim = std::make_unique<BatchedSim>(circuit.n_qubits(), batch, cfg);
     } else {
       sim = make_backend(backend, circuit.n_qubits(), workers, cfg);
     }
@@ -226,9 +222,8 @@ int main(int argc, char** argv) {
     }
     const double ms = timer.millis();
     if (bsim) {
-      std::printf("backend %s: executed %lld members in %.3f ms (%s lanes)\n",
-                  bsim->name(), static_cast<long long>(batch), ms,
-                  to_string(bsim->simd_level()));
+      std::printf("backend %s: executed %lld members in %.3f ms\n",
+                  bsim->name(), static_cast<long long>(batch), ms);
     } else {
       std::printf("backend %s: executed in %.3f ms\n", sim->name(), ms);
     }

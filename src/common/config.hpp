@@ -1,27 +1,14 @@
 // Runtime configuration shared by simulator backends.
 #pragma once
 
-#include <string>
+#include <cstdint>
 
 #include "common/types.hpp"
 
 namespace svsim {
 
-/// Which arithmetic path the single-device kernels use. Scalar is the
-/// portable reference; Avx2/Avx512 are the architecture-specialized paths
-/// described in §3.2.1 of the paper (Listing 2 shows the AVX-512 T gate).
-enum class SimdLevel { kScalar, kAvx2, kAvx512 };
-
-/// Highest SIMD level this binary/CPU supports (compile-time + cpuid).
-SimdLevel max_simd_level();
-
-/// Parse/format helpers used by bench/example command lines.
-const char* to_string(SimdLevel level);
-SimdLevel simd_level_from_string(const std::string& name);
-
 /// Configuration for a simulator instance.
 struct SimConfig {
-  SimdLevel simd = SimdLevel::kScalar;
   /// Seed for measurement sampling.
   std::uint64_t seed = 42;
   /// Record per-gate communication counters (scale-up/scale-out backends).

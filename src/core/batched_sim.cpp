@@ -1,7 +1,6 @@
 #include "core/batched_sim.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/bits.hpp"
 #include "common/timer.hpp"
@@ -22,15 +21,15 @@ namespace svsim {
 
 namespace {
 
-using kernels::BatchedSpace;
-using kernels::BatchedTable;
 using kernels::BDiagGate;
-using kernels::BGate;
 
-/// One uploaded batched gate: preloaded kernel slot + coefficient rows.
+/// One uploaded batched gate: preloaded kernel slot, the gate (member 0's
+/// angles, shared operands) and its per-member coefficient rows — row r
+/// of member b at coef[r*batch + b].
 struct BDev {
-  kernels::BatchedKernelFn fn = nullptr;
-  BGate bg;
+  KernelFn<BatchedSpace> fn = nullptr;
+  Gate g;
+  const ValType* coef = nullptr;
   IdxType work = 0;
   IdxType amps_per_item = 0; // per member, for progress accounting
   bool skip = false;         // absorbed into an earlier combined slot
@@ -74,18 +73,14 @@ struct BAction {
   std::vector<ValType> rows; // 8 rows × batch backing d.rows
 };
 
-/// Write a Mat2 into eight Entries2x2 coefficient rows at member column b
-/// (the layout bk_u3 / bk_pair1q read).
+/// Write a Mat2 as member b's U3Body coefficient rows (the layout
+/// kern_u3 and bk_pair1q read).
 void write_mat2_rows(const Mat2& m, ValType* base, IdxType stride,
                      IdxType b) {
-  base[0 * stride + b] = m[0].real();
-  base[1 * stride + b] = m[0].imag();
-  base[2 * stride + b] = m[1].real();
-  base[3 * stride + b] = m[1].imag();
-  base[4 * stride + b] = m[2].real();
-  base[5 * stride + b] = m[2].imag();
-  base[6 * stride + b] = m[3].real();
-  base[7 * stride + b] = m[3].imag();
+  kernels::store_rows(
+      kernels::U3Body{m[0].real(), m[0].imag(), m[1].real(), m[1].imag(),
+                      m[2].real(), m[2].imag(), m[3].real(), m[3].imag()},
+      base, stride, b);
 }
 
 /// Field-for-field gate equality — the plan-cache key. Angles compare
@@ -105,7 +100,6 @@ bool same_gate(const Gate& a, const Gate& b) {
 /// with an unchanged circuit (the chunked shot campaign) reuse it whole.
 struct BatchedSim::Plan {
   std::vector<Gate> key;         // gates the plan was compiled from
-  bool combine = false;          // SVSIM_BATCH_COMBINE at compile time
   obs::TrackedBuffer<ValType> coef;  // per-gate coefficient rows
   obs::TrackedBuffer<ValType> mcoef; // combined-slot coefficient rows
   std::vector<BDev> dev;
@@ -133,14 +127,6 @@ BatchedSim::BatchedSim(IdxType n_qubits, IdxType batch, SimConfig cfg)
   for (IdxType b = 0; b < batch_; ++b) {
     real_[static_cast<std::size_t>(b)] = 1.0; // member b's |0...0>
   }
-}
-
-SimdLevel BatchedSim::simd_level() const {
-  return kernels::batched_effective_level(cfg_.simd);
-}
-
-IdxType BatchedSim::lane_width() const {
-  return kernels::batched_kernel_table(cfg_.simd).lane_width;
 }
 
 void BatchedSim::reset_state() {
@@ -190,13 +176,8 @@ void BatchedSim::execute(const Circuit& circuit,
   report_.batch = static_cast<int>(batch_);
   obs::tally_gates(report_, circuit);
 
-  const BatchedTable& table = kernels::batched_kernel_table(cfg_.simd);
+  const auto& table = kernels::batched_kernel_table();
   const auto& gates = circuit.gates();
-
-  const bool combine_on = [] {
-    const char* e = std::getenv("SVSIM_BATCH_COMBINE");
-    return e == nullptr || std::atoi(e) != 0;
-  }();
 
   // Plan reuse: a uniform run() with the same circuit as last time (the
   // chunked shot campaign — reseed(); run(circ) per chunk) replays the
@@ -207,12 +188,10 @@ void BatchedSim::execute(const Circuit& circuit,
   Plan scratch;
   Plan& plan = reusable ? *plan_ : scratch;
   const bool plan_hit =
-      reusable && plan.valid && plan.combine == combine_on &&
-      plan.key.size() == gates.size() &&
+      reusable && plan.valid && plan.key.size() == gates.size() &&
       std::equal(gates.begin(), gates.end(), plan.key.begin(), same_gate);
   if (!plan_hit) {
   plan = Plan{};
-  plan.combine = combine_on;
   obs::TrackedBuffer<ValType>& coef = plan.coef;
   obs::TrackedBuffer<ValType>& mcoef = plan.mcoef;
   std::vector<BDev>& dev = plan.dev;
@@ -233,16 +212,15 @@ void BatchedSim::execute(const Circuit& circuit,
   for (std::size_t i = 0; i < gates.size(); ++i) {
     const Gate& g = gates[i];
     BDev& d = dev[i];
-    d.fn = table.fns[static_cast<std::size_t>(g.op)];
+    d.fn = table[static_cast<std::size_t>(g.op)];
     SVSIM_CHECK(d.fn != nullptr, "op has no batched kernel");
-    d.bg.g = g;
+    d.g = g;
     d.work = gate_work(g, n_);
     d.amps_per_item = gate_amps_per_item(g);
     const int rows = kernels::batched_coef_rows(g.op);
     if (rows > 0) {
       ValType* base = coef.data() + row * static_cast<std::size_t>(batch_);
-      d.bg.coef = base;
-      d.bg.stride = batch_;
+      d.coef = base;
       for (IdxType b = 0; b < batch_; ++b) {
         const Gate& gb =
             members != nullptr
@@ -282,8 +260,8 @@ void BatchedSim::execute(const Circuit& circuit,
   // sees the same shape and batch congruence holds; non-unitary ops,
   // barriers and window boundaries break runs, and inside blocked windows
   // only block-local gates participate (high diagonals keep their
-  // phase-table path). SVSIM_BATCH_COMBINE=0 disables the pass.
-  if (combine_on && n_ >= 2) {
+  // phase-table path).
+  if (n_ >= 2) {
     struct MGroup {
       std::vector<IdxType> gis; // program-order gate indices
       IdxType qubit = -1;
@@ -373,7 +351,7 @@ void BatchedSim::execute(const Circuit& circuit,
         for (std::size_t t = 0; t < m.gis.size(); ++t) {
           if (m.gis[t] == keep) continue;
           BDev& d = dev[static_cast<std::size_t>(m.gis[t])];
-          d.fn = table.fns[static_cast<int>(OP::ID)];
+          d.fn = table[static_cast<int>(OP::ID)];
           d.work = 0;
           d.amps_per_item = 0;
           d.skip = true;
@@ -401,13 +379,13 @@ void BatchedSim::execute(const Circuit& circuit,
           // RX-free rotation layers (RY/H/X/...) give purely real
           // matrices; the real kernel does half the arithmetic, turning
           // the halved traffic into actual wall-clock.
-          d.fn = all_real ? table.pair1q_real : table.pair1q;
-          d.bg.g = Gate{};
-          d.bg.g.op = OP::U3; // dense marker: never diagonal-pathed
-          d.bg.g.qb0 = p;
-          d.bg.g.qb1 = q;
-          d.bg.coef = base;
-          d.bg.stride = batch_;
+          d.fn = all_real ? &kernels::bk_pair1q<kernels::RealU3Body>
+                          : &kernels::bk_pair1q<kernels::U3Body>;
+          d.g = Gate{};
+          d.g.op = OP::U3; // dense marker: never diagonal-pathed
+          d.g.qb0 = p;
+          d.g.qb1 = q;
+          d.coef = base;
           d.work = pow2(n_ - 2);
           d.amps_per_item = 4;
           absorb(m, m.gis.front());
@@ -418,13 +396,12 @@ void BatchedSim::execute(const Circuit& circuit,
             write_mat2_rows(group_mat(m, b), base, batch_, b);
           }
           BDev& d = dev[static_cast<std::size_t>(m.gis.front())];
-          d.fn = table.fns[static_cast<int>(OP::U3)];
-          d.bg.g = Gate{};
-          d.bg.g.op = OP::U3;
-          d.bg.g.qb0 = m.qubit;
-          d.bg.g.qb1 = -1;
-          d.bg.coef = base;
-          d.bg.stride = batch_;
+          d.fn = table[static_cast<int>(OP::U3)];
+          d.g = Gate{};
+          d.g.op = OP::U3;
+          d.g.qb0 = m.qubit;
+          d.g.qb1 = -1;
+          d.coef = base;
           d.work = pow2(n_ - 1);
           d.amps_per_item = 2;
           absorb(m, m.gis.front());
@@ -492,7 +469,8 @@ void BatchedSim::execute(const Circuit& circuit,
         for (IdxType j = 0; j < w.n_gates; ++j) {
           const IdxType gi = w.first_gate + j;
           const BDev& d = dev[static_cast<std::size_t>(gi)];
-          d.fn(d.bg, sp, 0, d.work);
+          sp.coef = d.coef;
+          d.fn(d.g, sp, 0, d.work);
           if (slot != nullptr) {
             slot->publish_gate(
                 static_cast<std::uint64_t>(gi + 1),
@@ -513,7 +491,7 @@ void BatchedSim::execute(const Circuit& circuit,
         // dev's gate, not the circuit's: a combined slot carries its
         // synthetic dense shape there, and absorbed slots drop out.
         if (dev[static_cast<std::size_t>(gi)].skip) continue;
-        const Gate& g = dev[static_cast<std::size_t>(gi)].bg.g;
+        const Gate& g = dev[static_cast<std::size_t>(gi)].g;
         BAction a;
         const bool high =
             is_diagonal_gate(g.op) &&
@@ -533,7 +511,6 @@ void BatchedSim::execute(const Circuit& circuit,
             kernels::bdiag_fill(t, a.rows.data(), batch_, b, a.d.identity);
           }
           a.d.rows = a.rows.data();
-          a.d.stride = batch_;
           amps_per_block += static_cast<std::uint64_t>(pow2(b_eff));
         } else {
           a.dg = &dev[static_cast<std::size_t>(gi)];
@@ -550,9 +527,10 @@ void BatchedSim::execute(const Circuit& circuit,
         const IdxType base = blk * blk_len;
         for (const BAction& a : actions) {
           if (a.diag) {
-            table.diag(a.d, sp, base, blk_len);
+            kernels::bapply_diag(a.d, sp, base, blk_len);
           } else {
-            a.dg->fn(a.dg->bg, sp, blk * a.work_per_block,
+            sp.coef = a.dg->coef;
+            a.dg->fn(a.dg->g, sp, blk * a.work_per_block,
                      (blk + 1) * a.work_per_block);
           }
         }

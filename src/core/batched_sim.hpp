@@ -4,16 +4,20 @@
 // either literally one circuit (batched shot sampling) or K congruent
 // circuits that differ only in gate angles (a VQE/SPSA parameter sweep).
 // The amplitude layout is batch-innermost ([k*B + b], split re/im), so
-// every kernel computes the pair/quadruple index arithmetic once and a
-// SIMD lane carries B adjacent members (core/kernels/batched.hpp).
+// every kernel computes the pair/quadruple index arithmetic once and the
+// vector lanes carry B adjacent members. The unitary gates run the solo
+// kernels' bodies (core/kernels/gates1q.hpp, gates2q.hpp) in a member
+// loop the compiler vectorizes for the build's -march, each member with
+// its own coefficient rows.
 //
-// Mid-circuit measure and reset run with a per-member exec-mask: each
-// member draws on its own RNG stream (member b is seeded cfg.seed + b)
-// and may collapse in its own direction, and the collapse loop blends per
-// member with all-on/all-off fast paths. This removes the old vqa
-// prototype's "ansatz must be unitary" restriction: member b of a batched
-// run reproduces a solo SingleSim run with seed cfg.seed + b bit-for-bit
-// in classical outcomes (the diffcheck `batched` axis pins this).
+// Mid-circuit measure and reset run with a per-member exec-mask
+// (core/kernels/batched.hpp): each member draws on its own RNG stream
+// (member b is seeded cfg.seed + b) and may collapse in its own
+// direction, and the collapse loop selects per member with all-on/all-off
+// fast paths. This removes the old vqa prototype's "ansatz must be
+// unitary" restriction: member b of a batched run reproduces a solo
+// SingleSim run with seed cfg.seed + b bit-for-bit in classical outcomes
+// (the diffcheck `batched` axis pins this).
 //
 // The cache-blocked gate-window scheduler composes with batching: the
 // block exponent is reduced by ceil(log2 B) so one block's B-wide
@@ -43,9 +47,7 @@ namespace svsim {
 
 class BatchedSim {
 public:
-  /// B state vectors of n qubits. cfg.simd is clamped (not rejected) to
-  /// the widest lane this build+CPU carries — the batch tail needs the
-  /// scalar lane anyway, so a correct narrower path always exists.
+  /// B state vectors of n qubits.
   explicit BatchedSim(IdxType n_qubits, IdxType batch, SimConfig cfg = {});
   ~BatchedSim();
 
@@ -53,9 +55,6 @@ public:
   IdxType n_qubits() const { return n_; }
   IdxType dim() const { return dim_; }
   IdxType batch() const { return batch_; }
-  /// Effective SIMD level after clamping, and its members-per-vector.
-  SimdLevel simd_level() const;
-  IdxType lane_width() const;
 
   /// All members back to |0...0>, classical bits cleared, member b's RNG
   /// stream reseeded to cfg.seed + b (the solo-lockstep origin).

@@ -22,7 +22,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/error.hpp"
 #include "core/kernels/gates1q.hpp"
 #include "core/kernels/gates2q.hpp"
@@ -40,6 +39,43 @@ namespace svsim {
 template <class Space>
 using KernelFn = void (*)(const Gate&, const Space&, IdxType, IdxType);
 
+/// The unitary entries of the op -> kernel table, for any Space — the
+/// batched engine's table (core/kernels/batched.hpp) starts from these.
+template <class Space>
+std::array<KernelFn<Space>, kNumOps> unitary_kernels() {
+  namespace k = kernels;
+  std::array<KernelFn<Space>, kNumOps> t{};
+  t[static_cast<int>(OP::U3)] = &k::kern_u3<Space>;
+  t[static_cast<int>(OP::U2)] = &k::kern_u2<Space>;
+  t[static_cast<int>(OP::U1)] = &k::kern_u1<Space>;
+  t[static_cast<int>(OP::CX)] = &k::kern_cx<Space>;
+  t[static_cast<int>(OP::ID)] = &k::kern_id<Space>;
+  t[static_cast<int>(OP::X)] = &k::kern_x<Space>;
+  t[static_cast<int>(OP::Y)] = &k::kern_y<Space>;
+  t[static_cast<int>(OP::Z)] = &k::kern_z<Space>;
+  t[static_cast<int>(OP::H)] = &k::kern_h<Space>;
+  t[static_cast<int>(OP::S)] = &k::kern_s<Space>;
+  t[static_cast<int>(OP::SDG)] = &k::kern_sdg<Space>;
+  t[static_cast<int>(OP::T)] = &k::kern_t<Space>;
+  t[static_cast<int>(OP::TDG)] = &k::kern_tdg<Space>;
+  t[static_cast<int>(OP::RX)] = &k::kern_rx<Space>;
+  t[static_cast<int>(OP::RY)] = &k::kern_ry<Space>;
+  t[static_cast<int>(OP::RZ)] = &k::kern_rz<Space>;
+  t[static_cast<int>(OP::CZ)] = &k::kern_cz<Space>;
+  t[static_cast<int>(OP::CY)] = &k::kern_cy<Space>;
+  t[static_cast<int>(OP::CH)] = &k::kern_ch<Space>;
+  t[static_cast<int>(OP::SWAP)] = &k::kern_swap<Space>;
+  t[static_cast<int>(OP::CRX)] = &k::kern_crx<Space>;
+  t[static_cast<int>(OP::CRY)] = &k::kern_cry<Space>;
+  t[static_cast<int>(OP::CRZ)] = &k::kern_crz<Space>;
+  t[static_cast<int>(OP::CU1)] = &k::kern_cu1<Space>;
+  t[static_cast<int>(OP::CU3)] = &k::kern_cu3<Space>;
+  t[static_cast<int>(OP::RXX)] = &k::kern_rxx<Space>;
+  t[static_cast<int>(OP::RZZ)] = &k::kern_rzz<Space>;
+  t[static_cast<int>(OP::BARRIER)] = &k::kern_barrier<Space>;
+  return t;
+}
+
 /// The preloaded op -> kernel table for one address space.
 template <class Space>
 class KernelTable {
@@ -56,46 +92,13 @@ public:
 private:
   static Table build() {
     namespace k = kernels;
-    Table t{};
-    t[static_cast<int>(OP::U3)] = &k::kern_u3<Space>;
-    t[static_cast<int>(OP::U2)] = &k::kern_u2<Space>;
-    t[static_cast<int>(OP::U1)] = &k::kern_u1<Space>;
-    t[static_cast<int>(OP::CX)] = &k::kern_cx<Space>;
-    t[static_cast<int>(OP::ID)] = &k::kern_id<Space>;
-    t[static_cast<int>(OP::X)] = &k::kern_x<Space>;
-    t[static_cast<int>(OP::Y)] = &k::kern_y<Space>;
-    t[static_cast<int>(OP::Z)] = &k::kern_z<Space>;
-    t[static_cast<int>(OP::H)] = &k::kern_h<Space>;
-    t[static_cast<int>(OP::S)] = &k::kern_s<Space>;
-    t[static_cast<int>(OP::SDG)] = &k::kern_sdg<Space>;
-    t[static_cast<int>(OP::T)] = &k::kern_t<Space>;
-    t[static_cast<int>(OP::TDG)] = &k::kern_tdg<Space>;
-    t[static_cast<int>(OP::RX)] = &k::kern_rx<Space>;
-    t[static_cast<int>(OP::RY)] = &k::kern_ry<Space>;
-    t[static_cast<int>(OP::RZ)] = &k::kern_rz<Space>;
-    t[static_cast<int>(OP::CZ)] = &k::kern_cz<Space>;
-    t[static_cast<int>(OP::CY)] = &k::kern_cy<Space>;
-    t[static_cast<int>(OP::CH)] = &k::kern_ch<Space>;
-    t[static_cast<int>(OP::SWAP)] = &k::kern_swap<Space>;
-    t[static_cast<int>(OP::CRX)] = &k::kern_crx<Space>;
-    t[static_cast<int>(OP::CRY)] = &k::kern_cry<Space>;
-    t[static_cast<int>(OP::CRZ)] = &k::kern_crz<Space>;
-    t[static_cast<int>(OP::CU1)] = &k::kern_cu1<Space>;
-    t[static_cast<int>(OP::CU3)] = &k::kern_cu3<Space>;
-    t[static_cast<int>(OP::RXX)] = &k::kern_rxx<Space>;
-    t[static_cast<int>(OP::RZZ)] = &k::kern_rzz<Space>;
+    Table t = unitary_kernels<Space>();
     t[static_cast<int>(OP::M)] = &k::kern_measure<Space>;
     t[static_cast<int>(OP::MA)] = &k::kern_measure_all<Space>;
     t[static_cast<int>(OP::RESET)] = &k::kern_reset<Space>;
-    t[static_cast<int>(OP::BARRIER)] = &k::kern_barrier<Space>;
     return t;
   }
 };
-
-/// Kernel table for LocalSpace at a given SIMD level: the scalar table
-/// with vectorized entries patched in where an implementation exists
-/// (defined in simd_kernels.cpp). Throws when the level is not built in.
-const KernelTable<LocalSpace>::Table& local_kernel_table(SimdLevel level);
 
 /// Stands in for DeviceGate::local_fn on LocalSpace, which has no
 /// partition to run owner-computes on.
@@ -134,12 +137,11 @@ inline IdxType gate_work_items(const Gate& g, IdxType n) {
 /// "Upload" a circuit: resolve every gate's kernel pointer from the
 /// preloaded table. Pure CPU-side table lookups (the paper's point: the
 /// cost is O(#ops) symbol fetches at init + O(#gates) pointer copies here).
-/// Partitioned backends pass `local_table` and their partition exponent
-/// `lg_part` to also bind DeviceGate::local_fn for PE-local gates.
+/// Partitioned backends pass their partition exponent `lg_part` to also
+/// bind DeviceGate::local_fn for PE-local gates.
 template <class Space>
 std::vector<DeviceGate<Space>> upload_circuit(
     const Circuit& circuit, const typename KernelTable<Space>::Table& table,
-    const KernelTable<LocalSpace>::Table* local_table = nullptr,
     IdxType lg_part = 0) {
   std::vector<DeviceGate<Space>> out;
   out.reserve(circuit.gates().size());
@@ -151,9 +153,9 @@ std::vector<DeviceGate<Space>> upload_circuit(
                     " (compound ops must be lowered before upload)");
     DeviceGate<Space> dg{fn, g, gate_work_items(g, n)};
     if constexpr (kPartitioned<Space>) {
-      if (local_table != nullptr && is_unitary_op(g.op) &&
-          g.op != OP::BARRIER && g.qb0 < lg_part && g.qb1 < lg_part) {
-        dg.local_fn = (*local_table)[static_cast<int>(g.op)];
+      if (is_unitary_op(g.op) && g.op != OP::BARRIER && g.qb0 < lg_part &&
+          g.qb1 < lg_part) {
+        dg.local_fn = KernelTable<LocalSpace>::get()[static_cast<int>(g.op)];
       }
     }
     out.push_back(dg);

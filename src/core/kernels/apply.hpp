@@ -1,30 +1,37 @@
 // Shared kernel helpers: the amplitude walks every specialized gate runs
-// on, and the dense 2x2 body the parameterized rotations share.
+// on, and the gate bodies they share.
 //
 // A kernel is a pure per-item body — old amplitudes in, new amplitudes
 // out — handed to one of four walks: a pair (s, s+2^q) of Eq. (1), the
 // |1> member s+2^q alone, two positions of an Eq. (2) quadruple, or one
-// position of it. The specialized gates (X, Z, H, T, ...) touch only the
-// amplitudes they must (the paper's "specialized gate implementation");
-// the parameterized rotations (u2/u3, ch/crx/cry/cu3) share the dense
-// 2x2 body with its entries precomputed outside the loop.
+// position of it. A body is a small type (core/kernels/gates1q.hpp,
+// gates2q.hpp) whose fields are its coefficients, built from the Gate by
+// its `of`; the specialized gates (X, Z, H, T, ...) touch only the
+// amplitudes they must (the paper's "specialized gate implementation").
 //
 // On LocalSpace a walk splits [begin, end) into the contiguous runs the
 // index maps leave — 2^q consecutive pairs share one pair_base step,
 // 2^p consecutive quadruples one quad_base step — and runs the body over
 // raw real/imag pointers in a loop GCC vectorizes; `begin` may fall
-// mid-run. Everywhere else — PeerSpace/ShmemSpace, and runs too short to
+// mid-run. On BatchedSpace it takes the base once per item and runs the
+// body over the B contiguous members of each touched amplitude, member b
+// rebuilding its body from its own coefficient rows — the same loop shape
+// and the same body, so the batched engine needs no arithmetic of its
+// own. Everywhere else — PeerSpace/ShmemSpace, and runs too short to
 // vectorize — it reads and writes each touched amplitude through the
 // accessors, two gets and two sets per position, so the traffic counters
 // see exactly the accesses they always did.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <type_traits>
 
 #include "common/bits.hpp"
 #include "common/types.hpp"
 #include "core/space.hpp"
+#include "ir/gate.hpp"
 
 namespace svsim::kernels {
 
@@ -36,6 +43,58 @@ struct Amp {
 struct AmpPair {
   ValType r0, i0, r1, i1;
 };
+
+/// Coefficients a body carries: its ValType fields, in declaration order.
+/// A constant body (H, X, ...) is empty and carries none.
+template <class Body>
+inline constexpr int kBodyRows =
+    std::is_empty_v<Body> ? 0 : static_cast<int>(sizeof(Body) / sizeof(ValType));
+
+/// A body's coefficients as per-member rows: member b's row r is at
+/// coef[r*stride + b].
+template <class Body>
+struct MemberRows {
+  const ValType* coef;
+  IdxType stride;
+};
+
+/// Member b's body: the one body every member shares, or member b's own,
+/// rebuilt from its rows.
+template <class Body>
+inline Body member_body(const Body& shared, IdxType) {
+  return shared;
+}
+template <class Body>
+inline Body member_body(const MemberRows<Body>& m, IdxType b) {
+  static_assert(std::is_trivially_copyable_v<Body> &&
+                sizeof(Body) == kBodyRows<Body> * sizeof(ValType));
+  std::array<ValType, kBodyRows<Body>> c;
+  for (int r = 0; r < kBodyRows<Body>; ++r) c[r] = m.coef[r * m.stride + b];
+  return std::bit_cast<Body>(c);
+}
+
+/// Write `body`'s coefficients as member b's rows.
+template <class Body>
+inline void store_rows(const Body& body, ValType* coef, IdxType stride,
+                       IdxType b) {
+  if constexpr (kBodyRows<Body> > 0) {
+    const auto c = std::bit_cast<std::array<ValType, kBodyRows<Body>>>(body);
+    for (int r = 0; r < kBodyRows<Body>; ++r) coef[r * stride + b] = c[r];
+  }
+}
+
+/// The body a kernel hands its walk: built from the gate on the solo
+/// Spaces; on BatchedSpace, the rows the upload wrote from each member's
+/// gate through the same `Body::of`.
+template <class Body, class Space>
+inline auto gate_body(const Gate& g, const Space& sp) {
+  if constexpr (std::is_same_v<Space, BatchedSpace>) {
+    return MemberRows<Body>{sp.coef, sp.batch};
+  } else {
+    (void)sp;
+    return Body::of(g);
+  }
+}
 
 namespace detail {
 
@@ -105,6 +164,39 @@ inline void walk(const Space& sp, IdxType run_bits, Base base, IdxType off0,
   }
 }
 
+/// The BatchedSpace walk: base(i) once per item, then the body over the
+/// B contiguous members of each touched amplitude, member b's body built
+/// from its own coefficient rows.
+template <bool kPair, class Base, class Body>
+inline void walk(const BatchedSpace& sp, IdxType, Base base, IdxType off0,
+                 IdxType off1, IdxType begin, IdxType end, Body body) {
+  const IdxType B = sp.batch;
+  for (IdxType i = begin; i < end; ++i) {
+    const IdxType s = base(i);
+    ValType* __restrict r0 = sp.real + (s + off0) * B;
+    ValType* __restrict i0 = sp.imag + (s + off0) * B;
+    if constexpr (kPair) {
+      ValType* __restrict r1 = sp.real + (s + off1) * B;
+      ValType* __restrict i1 = sp.imag + (s + off1) * B;
+#pragma GCC ivdep
+      for (IdxType b = 0; b < B; ++b) {
+        const AmpPair o = member_body(body, b)(r0[b], i0[b], r1[b], i1[b]);
+        r0[b] = o.r0;
+        i0[b] = o.i0;
+        r1[b] = o.r1;
+        i1[b] = o.i1;
+      }
+    } else {
+#pragma GCC ivdep
+      for (IdxType b = 0; b < B; ++b) {
+        const Amp o = member_body(body, b)(r0[b], i0[b]);
+        r0[b] = o.re;
+        i0[b] = o.im;
+      }
+    }
+  }
+}
+
 } // namespace detail
 
 /// Pair walk: body(r0, i0, r1, i1) -> AmpPair on (s, s + 2^q),
@@ -150,39 +242,6 @@ inline void walk_quad_ones(const Space& sp, IdxType a, IdxType b, IdxType off,
   detail::walk<false>(
       sp, p, [p, q](IdxType i) { return quad_base(i, p, q); }, off, 0, begin,
       end, body);
-}
-
-/// Real/imag split of a 2x2 complex matrix, precomputed per gate.
-struct Entries2x2 {
-  ValType r00, i00, r01, i01, r10, i10, r11, i11;
-};
-
-/// The dense 2x2 as a pair body.
-inline auto dense_2x2(const Entries2x2& m) {
-  return [m](ValType r0, ValType i0, ValType r1, ValType i1) {
-    return AmpPair{m.r00 * r0 - m.i00 * i0 + m.r01 * r1 - m.i01 * i1,
-                   m.r00 * i0 + m.i00 * r0 + m.r01 * i1 + m.i01 * r1,
-                   m.r10 * r0 - m.i10 * i0 + m.r11 * r1 - m.i11 * i1,
-                   m.r10 * i0 + m.i10 * r0 + m.r11 * i1 + m.i11 * r1};
-  };
-}
-
-/// Apply a dense 2x2 to every pair (s, s+2^q) for pair index i in
-/// [begin, end).
-template <class Space>
-inline void apply_2x2(const Space& sp, IdxType q, IdxType begin, IdxType end,
-                      const Entries2x2& m) {
-  walk_pairs(sp, q, begin, end, dense_2x2(m));
-}
-
-/// Apply a dense 2x2 to the target qubit t in the subspace where control c
-/// is |1>: quadruple index i in [begin, end) enumerates Eq. (2) blocks over
-/// (min,max) of (c,t); only the two control-set positions are touched —
-/// half the memory traffic of a generic 4x4 application.
-template <class Space>
-inline void apply_ctrl_2x2(const Space& sp, IdxType c, IdxType t,
-                           IdxType begin, IdxType end, const Entries2x2& m) {
-  walk_quads(sp, c, t, pow2(c), pow2(c) + pow2(t), begin, end, dense_2x2(m));
 }
 
 } // namespace svsim::kernels

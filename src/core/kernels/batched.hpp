@@ -3,24 +3,24 @@
 // Layout is batch-innermost (element (amplitude k, member b) lives at
 // [k*B + b]), so the per-gate index arithmetic of Eq. (1)/(2) is computed
 // ONCE per pair/quadruple and amortized over all B members, and every
-// member access is a contiguous run of B doubles — a SIMD lane carries a
-// different batch member, never a different amplitude. That sidesteps the
-// classic low-qubit problem of amplitude-wise vectorization: a gate on
-// qubit 0 is exactly as vectorizable as a gate on qubit 20.
+// member access is a contiguous run of B doubles — a vector lane carries
+// a different batch member, never a different amplitude. That sidesteps
+// the classic low-qubit problem of amplitude-wise vectorization: a gate
+// on qubit 0 is exactly as vectorizable as a gate on qubit 20.
 //
-// Each kernel body is written once against a *lane policy* (ScalarLane /
-// Avx2Lane / Avx512Lane) and instantiated per SIMD level; for_members()
-// walks the batch in full lane-width chunks and finishes any remainder
-// through ScalarLane, so B need not be a multiple of the lane width.
+// The unitary gates need no kernels here: BatchedSim runs the solo
+// kernels of gates1q.hpp/gates2q.hpp on BatchedSpace, whose walks run
+// each gate's one body in a plain loop over the B members that the
+// compiler vectorizes (core/kernels/apply.hpp). Members differ only in
+// their coefficient rows, which the upload writes from each member's gate
+// through the same body constructors (batched_fill_coef).
 //
-// Divergence (the CppSPMD idiom): unitary gates are uniform across the
-// batch — members differ only in their per-member coefficient rows (one
-// gate-table read, B coefficient columns). Mid-circuit measure/reset is
-// where members truly diverge: each member draws from its OWN RNG stream
-// and may collapse in a different direction. Those kernels build an
-// exec-mask over the batch and run the collapse loop masked (blended
-// stores), with all-lanes-on / all-lanes-off fast paths that skip the
-// blends entirely when the batch happens to agree — which for strongly
+// Divergence (the CppSPMD idiom): mid-circuit measure/reset is where
+// members truly diverge: each member draws from its OWN RNG stream and
+// may collapse in a different direction. Those kernels build an
+// exec-mask over the batch and run the collapse loop masked (a select per
+// member), with all-members-on / all-members-off fast paths that skip the
+// selects entirely when the batch happens to agree — which for strongly
 // polarized qubits is the common case.
 //
 // Determinism contract (the diffcheck `batched` axis pins this): member b
@@ -37,158 +37,59 @@
 #include <utility>
 #include <vector>
 
-#if (defined(__AVX2__) || defined(__AVX512F__)) && !defined(SVSIM_FORCE_SCALAR)
-#include <immintrin.h>
-#endif
-
 #include "common/bits.hpp"
-#include "common/config.hpp"
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/kernels/blocked.hpp"
-#include "core/kernels/gates1q.hpp"
+#include "core/kernels/gates2q.hpp"
 #include "ir/gate.hpp"
 
 namespace svsim::kernels {
 
-// ---------------------------------------------------------------------------
-// Lane policies: W members per vector, plus the mask/blend operations the
-// divergent kernels need. All loads/stores are unaligned-contiguous — the
-// batch-innermost layout guarantees members are adjacent, so no gathers.
-// ---------------------------------------------------------------------------
-
-struct ScalarLane {
-  static constexpr IdxType W = 1;
-  using V = ValType;
-  using M = bool;
-  static V load(const ValType* p) { return *p; }
-  static void store(ValType* p, V v) { *p = v; }
-  static V splat(ValType x) { return x; }
-  static V zero() { return 0; }
-  static V add(V a, V b) { return a + b; }
-  static V sub(V a, V b) { return a - b; }
-  static V mul(V a, V b) { return a * b; }
-  static V neg(V a) { return -a; }
-  /// Mask from 0 / ~0 words: one word per member.
-  static M mask(const std::uint64_t* w) { return *w != 0; }
-  /// b where the mask is set, a elsewhere.
-  static V blend(V a, V b, M m) { return m ? b : a; }
-};
-
-#if defined(__AVX2__) && !defined(SVSIM_FORCE_SCALAR)
-struct Avx2Lane {
-  static constexpr IdxType W = 4;
-  using V = __m256d;
-  using M = __m256d; // sign bit per member drives blendv
-  static V load(const ValType* p) { return _mm256_loadu_pd(p); }
-  static void store(ValType* p, V v) { _mm256_storeu_pd(p, v); }
-  static V splat(ValType x) { return _mm256_set1_pd(x); }
-  static V zero() { return _mm256_setzero_pd(); }
-  static V add(V a, V b) { return _mm256_add_pd(a, b); }
-  static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
-  static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
-  static V neg(V a) { return _mm256_xor_pd(a, _mm256_set1_pd(-0.0)); }
-  static M mask(const std::uint64_t* w) {
-    return _mm256_castsi256_pd(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w)));
-  }
-  static V blend(V a, V b, M m) { return _mm256_blendv_pd(a, b, m); }
-};
-#endif
-
-#if defined(__AVX512F__) && !defined(SVSIM_FORCE_SCALAR)
-struct Avx512Lane {
-  static constexpr IdxType W = 8;
-  using V = __m512d;
-  using M = __mmask8;
-  static V load(const ValType* p) { return _mm512_loadu_pd(p); }
-  static void store(ValType* p, V v) { _mm512_storeu_pd(p, v); }
-  static V splat(ValType x) { return _mm512_set1_pd(x); }
-  static V zero() { return _mm512_setzero_pd(); }
-  static V add(V a, V b) { return _mm512_add_pd(a, b); }
-  static V sub(V a, V b) { return _mm512_sub_pd(a, b); }
-  static V mul(V a, V b) { return _mm512_mul_pd(a, b); }
-  static V neg(V a) {
-    return _mm512_castsi512_pd(_mm512_xor_si512(
-        _mm512_castpd_si512(a),
-        _mm512_castpd_si512(_mm512_set1_pd(-0.0))));
-  }
-  static M mask(const std::uint64_t* w) {
-    const __m512i v =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(w));
-    return _mm512_test_epi64_mask(v, v);
-  }
-  static V blend(V a, V b, M m) { return _mm512_mask_blend_pd(m, a, b); }
-};
-#endif
-
-/// Walk the batch: full W-wide chunks through lane policy L, remainder
-/// through ScalarLane. `body` is a generic lambda taking the lane policy
-/// as its explicit template argument and the member offset.
-template <class L, class Body>
-inline void for_members(IdxType batch, Body&& body) {
-  IdxType b = 0;
-  for (; b + L::W <= batch; b += L::W) {
-    body.template operator()<L>(b);
-  }
-  for (; b < batch; ++b) {
-    body.template operator()<ScalarLane>(b);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched address space + uploaded gate.
-// ---------------------------------------------------------------------------
-
-/// The batched twin of LocalSpace: B state vectors, per-member RNG
-/// streams, per-member classical bits and measure-all results.
-struct BatchedSpace {
-  ValType* real = nullptr; // (amp k, member b) at [k*batch + b]
-  ValType* imag = nullptr;
-  IdxType dim = 0;
-  IdxType batch = 0;
-  Rng* rngs = nullptr;       // batch streams, member b seeded base+b
-  IdxType* cbits = nullptr;  // [cbit*batch + b]
-  IdxType* results = nullptr; // measure-all: [b*n_shots + s]
-  IdxType n_shots = 0;
-};
-
-/// Uploaded batched gate: the frontend Gate (member 0's angles, shared
-/// operands) plus per-member coefficient rows. Row r of member b lives at
-/// coef[r*stride + b] — one contiguous load per lane chunk. Uniform runs
-/// replicate the same value across the row; per-member parameter runs
-/// (the VQE sweep) fill each column from that member's bound gate.
-struct BGate {
-  Gate g;
-  const ValType* coef = nullptr;
-  IdxType stride = 0;
-};
-
-/// Coefficient rows a batched kernel reads for `op`: 8 for the dense-2x2
-/// family (Entries2x2 order), 2 for the cos/sin rotations and phase
-/// gates, 0 for constant gates and the non-unitary ops (whose divergence
-/// is runtime state, not parameters).
-inline int batched_coef_rows(OP op) {
+/// Calls f.template operator()<Body>() for the body type whose
+/// coefficient rows `op`'s kernel reads on BatchedSpace (the one its
+/// kern_* passes to gate_body); 0 for constant and non-unitary ops, whose
+/// divergence is runtime state, not parameters.
+template <class F>
+inline int visit_coef_body(OP op, F&& f) {
   switch (op) {
+    case OP::U1:
+    case OP::CU1:
+      return f.template operator()<U1Body>();
+    case OP::RZ:
+    case OP::CRZ:
+      return f.template operator()<RzBody>();
+    case OP::RX:
+    case OP::RXX:
+      return f.template operator()<RxBody>();
+    case OP::RY:
+      return f.template operator()<RyBody>();
+    case OP::RZZ:
+      return f.template operator()<RzzBody>();
     case OP::U3:
     case OP::U2:
     case OP::CU3:
+    case OP::CH:
     case OP::CRX:
     case OP::CRY:
-    case OP::CH:
-      return 8;
-    case OP::U1:
-    case OP::RZ:
-    case OP::RX:
-    case OP::RY:
-    case OP::CRZ:
-    case OP::CU1:
-    case OP::RXX:
-    case OP::RZZ:
-      return 2;
+      return f.template operator()<U3Body>();
     default:
       return 0;
   }
+}
+
+/// Coefficient rows a batched kernel reads for `op`.
+inline int batched_coef_rows(OP op) {
+  return visit_coef_body(op, []<class Body>() { return kBodyRows<Body>; });
+}
+
+/// Fill member b's coefficient column for gate `g` from its body's `of` —
+/// the coefficients the solo kernel builds for the same gate.
+inline void batched_fill_coef(const Gate& g, ValType* coef, IdxType stride,
+                              IdxType b) {
+  visit_coef_body(g.op, [&]<class Body>() {
+    store_rows(Body::of(g), coef, stride, b);
+    return 0;
+  });
 }
 
 /// Dense 1-qubit unitaries eligible for the execute-level combining pass
@@ -235,791 +136,65 @@ inline double batched_pass_weight(OP op) {
   }
 }
 
-/// Fill member b's coefficient column for gate `g`, mirroring the scalar
-/// kernels' precomputation exactly (same cos/sin argument forms).
-inline void batched_fill_coef(const Gate& g, ValType* coef, IdxType stride,
-                              IdxType b) {
-  const auto row = [&](int r) -> ValType& { return coef[r * stride + b]; };
-  switch (g.op) {
-    case OP::U3:
-    case OP::CU3: {
-      const Entries2x2 e = detail::u3_entries(g.theta, g.phi, g.lam);
-      row(0) = e.r00; row(1) = e.i00; row(2) = e.r01; row(3) = e.i01;
-      row(4) = e.r10; row(5) = e.i10; row(6) = e.r11; row(7) = e.i11;
-      break;
-    }
-    case OP::U2: {
-      const Entries2x2 e = detail::u3_entries(PI / 2, g.phi, g.lam);
-      row(0) = e.r00; row(1) = e.i00; row(2) = e.r01; row(3) = e.i01;
-      row(4) = e.r10; row(5) = e.i10; row(6) = e.r11; row(7) = e.i11;
-      break;
-    }
-    case OP::CRX: {
-      const ValType c = std::cos(g.theta / 2);
-      const ValType s = std::sin(g.theta / 2);
-      row(0) = c; row(1) = 0; row(2) = 0; row(3) = -s;
-      row(4) = 0; row(5) = -s; row(6) = c; row(7) = 0;
-      break;
-    }
-    case OP::CRY: {
-      const ValType c = std::cos(g.theta / 2);
-      const ValType s = std::sin(g.theta / 2);
-      row(0) = c; row(1) = 0; row(2) = -s; row(3) = 0;
-      row(4) = s; row(5) = 0; row(6) = c; row(7) = 0;
-      break;
-    }
-    case OP::CH:
-      row(0) = S2I; row(1) = 0; row(2) = S2I; row(3) = 0;
-      row(4) = S2I; row(5) = 0; row(6) = -S2I; row(7) = 0;
-      break;
-    case OP::U1:
-    case OP::CU1:
-    case OP::RZZ:
-      row(0) = std::cos(g.theta);
-      row(1) = std::sin(g.theta);
-      break;
-    case OP::RZ:
-    case OP::RX:
-    case OP::RY:
-    case OP::CRZ:
-    case OP::RXX:
-      row(0) = std::cos(g.theta / 2);
-      row(1) = std::sin(g.theta / 2);
-      break;
-    default:
-      break; // constant / non-unitary: no rows
+/// A purely real dense 2x2 (m00, m01, m10, m11): it acts on the real and
+/// imaginary planes independently, with half the multiplies of U3Body.
+/// The combining pass routes RX-free rotation layers (RY, H, X, Z, ...)
+/// here; its rows are the real rows 0, 2, 4, 6 of the U3Body layout.
+struct RealU3Body {
+  ValType m00, m01, m10, m11;
+  AmpPair operator()(ValType r0, ValType i0, ValType r1, ValType i1) const {
+    return AmpPair{m00 * r0 + m01 * r1, m00 * i0 + m01 * i1,
+                   m10 * r0 + m11 * r1, m10 * i0 + m11 * i1};
   }
-}
-
-// ---------------------------------------------------------------------------
-// Unitary kernels. Each mirrors its scalar twin's arithmetic expression
-// order; the work range [begin, end) indexes the same pairs/quadruples.
-// ---------------------------------------------------------------------------
-
-using BatchedKernelFn = void (*)(const BGate&, const BatchedSpace&, IdxType,
-                                 IdxType);
-
-template <class L>
-void bk_id(const BGate&, const BatchedSpace&, IdxType, IdxType) {}
-
-template <class L>
-void bk_barrier(const BGate&, const BatchedSpace&, IdxType, IdxType) {}
-
-template <class L>
-void bk_x(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-          IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    const IdxType p1 = p0 + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto r0 = V::load(sp.real + p0 + b);
-      const auto i0 = V::load(sp.imag + p0 + b);
-      V::store(sp.real + p0 + b, V::load(sp.real + p1 + b));
-      V::store(sp.imag + p0 + b, V::load(sp.imag + p1 + b));
-      V::store(sp.real + p1 + b, r0);
-      V::store(sp.imag + p1 + b, i0);
-    });
-  }
-}
-
-template <class L>
-void bk_y(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-          IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    const IdxType p1 = p0 + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto r0 = V::load(sp.real + p0 + b);
-      const auto i0 = V::load(sp.imag + p0 + b);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p0 + b, i1);
-      V::store(sp.imag + p0 + b, V::neg(r1));
-      V::store(sp.real + p1 + b, V::neg(i0));
-      V::store(sp.imag + p1 + b, r0);
-    });
-  }
-}
-
-template <class L>
-void bk_z(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-          IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p1 = pair_base(i, q) * B + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      V::store(sp.real + p1 + b, V::neg(V::load(sp.real + p1 + b)));
-      V::store(sp.imag + p1 + b, V::neg(V::load(sp.imag + p1 + b)));
-    });
-  }
-}
-
-template <class L>
-void bk_h(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-          IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    const IdxType p1 = p0 + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto s2i = V::splat(S2I);
-      const auto r0 = V::load(sp.real + p0 + b);
-      const auto i0 = V::load(sp.imag + p0 + b);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p0 + b, V::mul(s2i, V::add(r0, r1)));
-      V::store(sp.imag + p0 + b, V::mul(s2i, V::add(i0, i1)));
-      V::store(sp.real + p1 + b, V::mul(s2i, V::sub(r0, r1)));
-      V::store(sp.imag + p1 + b, V::mul(s2i, V::sub(i0, i1)));
-    });
-  }
-}
-
-template <class L>
-void bk_s(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-          IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p1 = pair_base(i, q) * B + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto r1 = V::load(sp.real + p1 + b);
-      V::store(sp.real + p1 + b, V::neg(V::load(sp.imag + p1 + b)));
-      V::store(sp.imag + p1 + b, r1);
-    });
-  }
-}
-
-template <class L>
-void bk_sdg(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p1 = pair_base(i, q) * B + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto r1 = V::load(sp.real + p1 + b);
-      V::store(sp.real + p1 + b, V::load(sp.imag + p1 + b));
-      V::store(sp.imag + p1 + b, V::neg(r1));
-    });
-  }
-}
-
-template <class L>
-void bk_t(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-          IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p1 = pair_base(i, q) * B + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto s2i = V::splat(S2I);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p1 + b, V::mul(s2i, V::sub(r1, i1)));
-      V::store(sp.imag + p1 + b, V::mul(s2i, V::add(r1, i1)));
-    });
-  }
-}
-
-template <class L>
-void bk_tdg(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p1 = pair_base(i, q) * B + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto s2i = V::splat(S2I);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p1 + b, V::mul(s2i, V::add(r1, i1)));
-      V::store(sp.imag + p1 + b, V::mul(s2i, V::sub(i1, r1)));
-    });
-  }
-}
-
-template <class L>
-void bk_u1(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  const ValType* cr_row = bg.coef;
-  const ValType* ci_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p1 = pair_base(i, q) * B + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto cr = V::load(cr_row + b);
-      const auto ci = V::load(ci_row + b);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p1 + b, V::sub(V::mul(cr, r1), V::mul(ci, i1)));
-      V::store(sp.imag + p1 + b, V::add(V::mul(cr, i1), V::mul(ci, r1)));
-    });
-  }
-}
-
-template <class L>
-void bk_rz(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  const ValType* c_row = bg.coef;
-  const ValType* s_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    const IdxType p1 = p0 + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto c = V::load(c_row + b);
-      const auto s = V::load(s_row + b);
-      const auto r0 = V::load(sp.real + p0 + b);
-      const auto i0 = V::load(sp.imag + p0 + b);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p0 + b, V::add(V::mul(c, r0), V::mul(s, i0)));
-      V::store(sp.imag + p0 + b, V::sub(V::mul(c, i0), V::mul(s, r0)));
-      V::store(sp.real + p1 + b, V::sub(V::mul(c, r1), V::mul(s, i1)));
-      V::store(sp.imag + p1 + b, V::add(V::mul(c, i1), V::mul(s, r1)));
-    });
-  }
-}
-
-template <class L>
-void bk_rx(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  const ValType* c_row = bg.coef;
-  const ValType* s_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    const IdxType p1 = p0 + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto c = V::load(c_row + b);
-      const auto s = V::load(s_row + b);
-      const auto r0 = V::load(sp.real + p0 + b);
-      const auto i0 = V::load(sp.imag + p0 + b);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p0 + b, V::add(V::mul(c, r0), V::mul(s, i1)));
-      V::store(sp.imag + p0 + b, V::sub(V::mul(c, i0), V::mul(s, r1)));
-      V::store(sp.real + p1 + b, V::add(V::mul(c, r1), V::mul(s, i0)));
-      V::store(sp.imag + p1 + b, V::sub(V::mul(c, i1), V::mul(s, r0)));
-    });
-  }
-}
-
-template <class L>
-void bk_ry(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  const ValType* c_row = bg.coef;
-  const ValType* s_row = bg.coef + bg.stride;
-  // Members-outer: the rotation coefficients are pair-invariant, so each
-  // member chunk loads (c, s) once and keeps them in registers while it
-  // streams every pair. Chunks touch disjoint cache lines of the
-  // batch-innermost slab, so total traffic is unchanged.
-  for_members<L>(B, [&]<class V>(IdxType b) {
-    const auto c = V::load(c_row + b);
-    const auto s = V::load(s_row + b);
-    for (IdxType i = begin; i < end; ++i) {
-      const IdxType p0 = pair_base(i, q) * B + b;
-      const IdxType p1 = p0 + stride;
-      const auto r0 = V::load(sp.real + p0);
-      const auto i0 = V::load(sp.imag + p0);
-      const auto r1 = V::load(sp.real + p1);
-      const auto i1 = V::load(sp.imag + p1);
-      V::store(sp.real + p0, V::sub(V::mul(c, r0), V::mul(s, r1)));
-      V::store(sp.imag + p0, V::sub(V::mul(c, i0), V::mul(s, i1)));
-      V::store(sp.real + p1, V::add(V::mul(s, r0), V::mul(c, r1)));
-      V::store(sp.imag + p1, V::add(V::mul(s, i0), V::mul(c, i1)));
-    }
-  });
-}
-
-namespace batched_detail {
-
-/// Dense 2x2 on the member pair (p0, p1): the batched apply_2x2, with the
-/// eight entry rows loaded per member. Expression order matches
-/// kernels::apply_2x2.
-template <class L, class V = L>
-struct Dense2x2 {};
-
-template <class L>
-inline void bdense_2x2(const BGate& bg, const BatchedSpace& sp, IdxType p0,
-                       IdxType p1) {
-  const ValType* m = bg.coef;
-  const IdxType st = bg.stride;
-  for_members<L>(sp.batch, [&]<class V>(IdxType b) {
-    const auto r00 = V::load(m + 0 * st + b);
-    const auto i00 = V::load(m + 1 * st + b);
-    const auto r01 = V::load(m + 2 * st + b);
-    const auto i01 = V::load(m + 3 * st + b);
-    const auto r10 = V::load(m + 4 * st + b);
-    const auto i10 = V::load(m + 5 * st + b);
-    const auto r11 = V::load(m + 6 * st + b);
-    const auto i11 = V::load(m + 7 * st + b);
-    const auto r0 = V::load(sp.real + p0 + b);
-    const auto i0 = V::load(sp.imag + p0 + b);
-    const auto r1 = V::load(sp.real + p1 + b);
-    const auto i1 = V::load(sp.imag + p1 + b);
-    // m00*a0 + m01*a1 / m10*a0 + m11*a1, expanded as in apply_2x2.
-    V::store(sp.real + p0 + b,
-             V::sub(V::add(V::sub(V::mul(r00, r0), V::mul(i00, i0)),
-                           V::mul(r01, r1)),
-                    V::mul(i01, i1)));
-    V::store(sp.imag + p0 + b,
-             V::add(V::add(V::add(V::mul(r00, i0), V::mul(i00, r0)),
-                           V::mul(r01, i1)),
-                    V::mul(i01, r1)));
-    V::store(sp.real + p1 + b,
-             V::sub(V::add(V::sub(V::mul(r10, r0), V::mul(i10, i0)),
-                           V::mul(r11, r1)),
-                    V::mul(i11, i1)));
-    V::store(sp.imag + p1 + b,
-             V::add(V::add(V::add(V::mul(r10, i0), V::mul(i10, r0)),
-                           V::mul(r11, i1)),
-                    V::mul(i11, r1)));
-  });
-}
-
-} // namespace batched_detail
-
-template <class L>
-void bk_u3(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    batched_detail::bdense_2x2<L>(bg, sp, p0, p0 + stride);
-  }
-}
-
-// U2's entries are prebuilt with theta = pi/2 at upload; same body as U3.
-template <class L>
-void bk_u2(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  bk_u3<L>(bg, sp, begin, end);
-}
-
-namespace batched_detail {
-
-/// Register-level dense 2x2 on one member chunk: e is the Entries2x2 row
-/// vector (r00,i00,r01,i01,r10,i10,r11,i11) already loaded into lanes.
-/// Expression order matches bdense_2x2 / kernels::apply_2x2.
-template <class V, class W>
-inline void reg_2x2(const W* e, W& r0, W& i0, W& r1, W& i1) {
-  const W nr0 = V::sub(
-      V::add(V::sub(V::mul(e[0], r0), V::mul(e[1], i0)), V::mul(e[2], r1)),
-      V::mul(e[3], i1));
-  const W ni0 = V::add(
-      V::add(V::add(V::mul(e[0], i0), V::mul(e[1], r0)), V::mul(e[2], i1)),
-      V::mul(e[3], r1));
-  const W nr1 = V::sub(
-      V::add(V::sub(V::mul(e[4], r0), V::mul(e[5], i0)), V::mul(e[6], r1)),
-      V::mul(e[7], i1));
-  const W ni1 = V::add(
-      V::add(V::add(V::mul(e[4], i0), V::mul(e[5], r0)), V::mul(e[6], i1)),
-      V::mul(e[7], r1));
-  r0 = nr0;
-  i0 = ni0;
-  r1 = nr1;
-  i1 = ni1;
-}
-
-/// Same as reg_2x2 for a purely real matrix: e holds only the 4 real
-/// entries (m00, m01, m10, m11), and the matrix acts on the real and
-/// imaginary planes independently — half the multiplies of the complex
-/// form, which is what makes the combined pass a strict win (the generic
-/// form trades the halved traffic for doubled flops and roughly breaks
-/// even on rotation layers).
-template <class V, class W>
-inline void reg_2x2_real(const W* e, W& r0, W& i0, W& r1, W& i1) {
-  const W nr0 = V::add(V::mul(e[0], r0), V::mul(e[1], r1));
-  const W ni0 = V::add(V::mul(e[0], i0), V::mul(e[1], i1));
-  const W nr1 = V::add(V::mul(e[2], r0), V::mul(e[3], r1));
-  const W ni1 = V::add(V::mul(e[2], i0), V::mul(e[3], i1));
-  r0 = nr0;
-  i0 = ni0;
-  r1 = nr1;
-  i1 = ni1;
-}
-
-} // namespace batched_detail
+};
 
 /// Two independent dense 1q gates in ONE pass over the slab: gate P on
-/// qubit qb0 (low) and gate Q on qubit qb1 (high), with 16 coefficient
-/// rows (P's Entries2x2 rows 0-7, Q's rows 8-15). Each quadruple is
+/// qubit qb0 (low) and gate Q on qubit qb1 (high), with 16 U3Body
+/// coefficient rows (P's rows 0-7, Q's rows 8-15). Each quadruple is
 /// loaded once, P is applied to its qubit-p pairs and Q to its qubit-q
-/// pairs entirely in registers, then stored — the same arithmetic as two
+/// pairs in registers, then stored — the same arithmetic as two
 /// sequential passes at half the memory traffic. That matters here and
 /// not in the solo engine: a solo state at bench sizes lives in L1, but
 /// the B-wide slab streams from L2, so batched gate cost is traffic, not
-/// flops. The combining pass in BatchedSim::execute builds these.
-template <class L>
-void bk_pair1q(const BGate& bg, const BatchedSpace& sp, IdxType begin,
+/// flops. The combining pass in BatchedSim::execute builds these, with
+/// Body = U3Body, or RealU3Body when both matrices are purely real.
+template <class Body>
+void bk_pair1q(const Gate& g, const BatchedSpace& sp, IdxType begin,
                IdxType end) {
-  const IdxType p = bg.g.qb0;
-  const IdxType q = bg.g.qb1;
+  const IdxType p = g.qb0;
+  const IdxType q = g.qb1;
   const IdxType B = sp.batch;
-  const IdxType st = bg.stride;
-  const ValType* m = bg.coef;
+  const IdxType row_stride = B * (kBodyRows<U3Body> / kBodyRows<Body>);
+  const MemberRows<Body> pm{sp.coef, row_stride};
+  const MemberRows<Body> qm{sp.coef + 8 * B, row_stride};
   const IdxType offp = pow2(p) * B;
   const IdxType offq = pow2(q) * B;
-  for_members<L>(B, [&]<class V>(IdxType b) {
-    using W = typename V::V;
-    W pc[8], qc[8];
-    for (int r = 0; r < 8; ++r) pc[r] = V::load(m + r * st + b);
-    for (int r = 0; r < 8; ++r) qc[r] = V::load(m + (8 + r) * st + b);
-    for (IdxType i = begin; i < end; ++i) {
-      const IdxType s = quad_base(i, p, q) * B + b;
-      W r0 = V::load(sp.real + s);
-      W i0 = V::load(sp.imag + s);
-      W r1 = V::load(sp.real + s + offp);
-      W i1 = V::load(sp.imag + s + offp);
-      W r2 = V::load(sp.real + s + offq);
-      W i2 = V::load(sp.imag + s + offq);
-      W r3 = V::load(sp.real + s + offp + offq);
-      W i3 = V::load(sp.imag + s + offp + offq);
-      batched_detail::reg_2x2<V>(pc, r0, i0, r1, i1);
-      batched_detail::reg_2x2<V>(pc, r2, i2, r3, i3);
-      batched_detail::reg_2x2<V>(qc, r0, i0, r2, i2);
-      batched_detail::reg_2x2<V>(qc, r1, i1, r3, i3);
-      V::store(sp.real + s, r0);
-      V::store(sp.imag + s, i0);
-      V::store(sp.real + s + offp, r1);
-      V::store(sp.imag + s + offp, i1);
-      V::store(sp.real + s + offq, r2);
-      V::store(sp.imag + s + offq, i2);
-      V::store(sp.real + s + offp + offq, r3);
-      V::store(sp.imag + s + offp + offq, i3);
-    }
-  });
-}
-
-/// bk_pair1q for the case where BOTH matrices are purely real (RX-free
-/// rotation layers: RY, H, X, Z, ...). The combining pass detects zero
-/// imaginary coefficient rows at emission and routes here: the real and
-/// imaginary planes are transformed independently, so the quad costs the
-/// same arithmetic as two specialized single-gate passes while still
-/// paying the memory traffic only once. Coefficient layout is unchanged
-/// (16 Entries2x2 rows); only the real rows 0,2,4,6 of each gate load.
-template <class L>
-void bk_pair1q_real(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-                    IdxType end) {
-  const IdxType p = bg.g.qb0;
-  const IdxType q = bg.g.qb1;
-  const IdxType B = sp.batch;
-  const IdxType st = bg.stride;
-  const ValType* m = bg.coef;
-  const IdxType offp = pow2(p) * B;
-  const IdxType offq = pow2(q) * B;
-  for_members<L>(B, [&]<class V>(IdxType b) {
-    using W = typename V::V;
-    W pc[4], qc[4];
-    for (int r = 0; r < 4; ++r) pc[r] = V::load(m + 2 * r * st + b);
-    for (int r = 0; r < 4; ++r) qc[r] = V::load(m + (8 + 2 * r) * st + b);
-    for (IdxType i = begin; i < end; ++i) {
-      const IdxType s = quad_base(i, p, q) * B + b;
-      W r0 = V::load(sp.real + s);
-      W i0 = V::load(sp.imag + s);
-      W r1 = V::load(sp.real + s + offp);
-      W i1 = V::load(sp.imag + s + offp);
-      W r2 = V::load(sp.real + s + offq);
-      W i2 = V::load(sp.imag + s + offq);
-      W r3 = V::load(sp.real + s + offp + offq);
-      W i3 = V::load(sp.imag + s + offp + offq);
-      batched_detail::reg_2x2_real<V>(pc, r0, i0, r1, i1);
-      batched_detail::reg_2x2_real<V>(pc, r2, i2, r3, i3);
-      batched_detail::reg_2x2_real<V>(qc, r0, i0, r2, i2);
-      batched_detail::reg_2x2_real<V>(qc, r1, i1, r3, i3);
-      V::store(sp.real + s, r0);
-      V::store(sp.imag + s, i0);
-      V::store(sp.real + s + offp, r1);
-      V::store(sp.imag + s + offp, i1);
-      V::store(sp.real + s + offq, r2);
-      V::store(sp.imag + s + offq, i2);
-      V::store(sp.real + s + offp + offq, r3);
-      V::store(sp.imag + s + offp + offq, i3);
-    }
-  });
-}
-
-template <class L>
-void bk_cx(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType c = bg.g.qb0;
-  const IdxType t = bg.g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType B = sp.batch;
-  const IdxType coff = pow2(c) * B;
-  const IdxType toff = pow2(t) * B;
   for (IdxType i = begin; i < end; ++i) {
     const IdxType s = quad_base(i, p, q) * B;
-    const IdxType a = s + coff;
-    const IdxType bb = s + coff + toff;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto ra = V::load(sp.real + a + b);
-      const auto ia = V::load(sp.imag + a + b);
-      V::store(sp.real + a + b, V::load(sp.real + bb + b));
-      V::store(sp.imag + a + b, V::load(sp.imag + bb + b));
-      V::store(sp.real + bb + b, ra);
-      V::store(sp.imag + bb + b, ia);
-    });
-  }
-}
-
-template <class L>
-void bk_cy(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType c = bg.g.qb0;
-  const IdxType t = bg.g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType B = sp.batch;
-  const IdxType coff = pow2(c) * B;
-  const IdxType toff = pow2(t) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = quad_base(i, p, q) * B;
-    const IdxType a = s + coff;
-    const IdxType bb = s + coff + toff;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto ra = V::load(sp.real + a + b);
-      const auto ia = V::load(sp.imag + a + b);
-      const auto rb = V::load(sp.real + bb + b);
-      const auto ib = V::load(sp.imag + bb + b);
-      V::store(sp.real + a + b, ib);
-      V::store(sp.imag + a + b, V::neg(rb));
-      V::store(sp.real + bb + b, V::neg(ia));
-      V::store(sp.imag + bb + b, ra);
-    });
-  }
-}
-
-template <class L>
-void bk_cz(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType c = bg.g.qb0;
-  const IdxType t = bg.g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType B = sp.batch;
-  const IdxType off = (pow2(p) + pow2(q)) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType bb = quad_base(i, p, q) * B + off;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      V::store(sp.real + bb + b, V::neg(V::load(sp.real + bb + b)));
-      V::store(sp.imag + bb + b, V::neg(V::load(sp.imag + bb + b)));
-    });
-  }
-}
-
-namespace batched_detail {
-
-/// Batched apply_ctrl_2x2: dense 2x2 on the control-set half of each
-/// quadruple, entries from the gate's eight coefficient rows.
-template <class L>
-inline void bctrl_2x2(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-                      IdxType end) {
-  const IdxType c = bg.g.qb0;
-  const IdxType t = bg.g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType B = sp.batch;
-  const IdxType coff = pow2(c) * B;
-  const IdxType toff = pow2(t) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = quad_base(i, p, q) * B;
-    bdense_2x2<L>(bg, sp, s + coff, s + coff + toff);
-  }
-}
-
-} // namespace batched_detail
-
-template <class L>
-void bk_ch(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  batched_detail::bctrl_2x2<L>(bg, sp, begin, end);
-}
-
-template <class L>
-void bk_crx(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  batched_detail::bctrl_2x2<L>(bg, sp, begin, end);
-}
-
-template <class L>
-void bk_cry(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  batched_detail::bctrl_2x2<L>(bg, sp, begin, end);
-}
-
-template <class L>
-void bk_cu3(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  batched_detail::bctrl_2x2<L>(bg, sp, begin, end);
-}
-
-template <class L>
-void bk_swap(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-             IdxType end) {
-  const IdxType a = bg.g.qb0;
-  const IdxType bq = bg.g.qb1;
-  const IdxType p = a < bq ? a : bq;
-  const IdxType q = a < bq ? bq : a;
-  const IdxType B = sp.batch;
-  const IdxType poff = pow2(p) * B;
-  const IdxType qoff = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = quad_base(i, p, q) * B;
-    const IdxType lo = s + poff;
-    const IdxType hi = s + qoff;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto r = V::load(sp.real + lo + b);
-      const auto im = V::load(sp.imag + lo + b);
-      V::store(sp.real + lo + b, V::load(sp.real + hi + b));
-      V::store(sp.imag + lo + b, V::load(sp.imag + hi + b));
-      V::store(sp.real + hi + b, r);
-      V::store(sp.imag + hi + b, im);
-    });
-  }
-}
-
-template <class L>
-void bk_crz(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  const IdxType c = bg.g.qb0;
-  const IdxType t = bg.g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType B = sp.batch;
-  const IdxType coff = pow2(c) * B;
-  const IdxType toff = pow2(t) * B;
-  const ValType* cr_row = bg.coef;
-  const ValType* si_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = quad_base(i, p, q) * B;
-    const IdxType a = s + coff;
-    const IdxType bb = s + coff + toff;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto cr = V::load(cr_row + b);
-      const auto si = V::load(si_row + b);
-      const auto ra = V::load(sp.real + a + b);
-      const auto ia = V::load(sp.imag + a + b);
-      V::store(sp.real + a + b, V::add(V::mul(cr, ra), V::mul(si, ia)));
-      V::store(sp.imag + a + b, V::sub(V::mul(cr, ia), V::mul(si, ra)));
-      const auto rb = V::load(sp.real + bb + b);
-      const auto ib = V::load(sp.imag + bb + b);
-      V::store(sp.real + bb + b, V::sub(V::mul(cr, rb), V::mul(si, ib)));
-      V::store(sp.imag + bb + b, V::add(V::mul(cr, ib), V::mul(si, rb)));
-    });
-  }
-}
-
-template <class L>
-void bk_cu1(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  const IdxType c = bg.g.qb0;
-  const IdxType t = bg.g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType B = sp.batch;
-  const IdxType off = (pow2(p) + pow2(q)) * B;
-  const ValType* cr_row = bg.coef;
-  const ValType* ci_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType bb = quad_base(i, p, q) * B + off;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto cr = V::load(cr_row + b);
-      const auto ci = V::load(ci_row + b);
-      const auto rb = V::load(sp.real + bb + b);
-      const auto ib = V::load(sp.imag + bb + b);
-      V::store(sp.real + bb + b, V::sub(V::mul(cr, rb), V::mul(ci, ib)));
-      V::store(sp.imag + bb + b, V::add(V::mul(cr, ib), V::mul(ci, rb)));
-    });
-  }
-}
-
-template <class L>
-void bk_rxx(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  const IdxType a = bg.g.qb0;
-  const IdxType bq = bg.g.qb1;
-  const IdxType p = a < bq ? a : bq;
-  const IdxType q = a < bq ? bq : a;
-  const IdxType B = sp.batch;
-  const IdxType poff = pow2(p) * B;
-  const IdxType qoff = pow2(q) * B;
-  const ValType* c_row = bg.coef;
-  const ValType* s_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType base = quad_base(i, p, q) * B;
-    const IdxType pairs[2][2] = {{base, base + poff + qoff},
-                                 {base + poff, base + qoff}};
-    for (const auto& uv : pairs) {
-      const IdxType u = uv[0];
-      const IdxType v = uv[1];
-      for_members<L>(B, [&]<class V>(IdxType b) {
-        const auto c = V::load(c_row + b);
-        const auto s = V::load(s_row + b);
-        const auto ru = V::load(sp.real + u + b);
-        const auto iu = V::load(sp.imag + u + b);
-        const auto rv = V::load(sp.real + v + b);
-        const auto iv = V::load(sp.imag + v + b);
-        V::store(sp.real + u + b, V::add(V::mul(c, ru), V::mul(s, iv)));
-        V::store(sp.imag + u + b, V::sub(V::mul(c, iu), V::mul(s, rv)));
-        V::store(sp.real + v + b, V::add(V::mul(c, rv), V::mul(s, iu)));
-        V::store(sp.imag + v + b, V::sub(V::mul(c, iv), V::mul(s, ru)));
-      });
-    }
-  }
-}
-
-template <class L>
-void bk_rzz(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  const IdxType a = bg.g.qb0;
-  const IdxType bq = bg.g.qb1;
-  const IdxType p = a < bq ? a : bq;
-  const IdxType q = a < bq ? bq : a;
-  const IdxType B = sp.batch;
-  const IdxType poff = pow2(p) * B;
-  const IdxType qoff = pow2(q) * B;
-  const ValType* cr_row = bg.coef;
-  const ValType* ci_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType base = quad_base(i, p, q) * B;
-    for (const IdxType idx : {base + poff, base + qoff}) {
-      for_members<L>(B, [&]<class V>(IdxType b) {
-        const auto cr = V::load(cr_row + b);
-        const auto ci = V::load(ci_row + b);
-        const auto r = V::load(sp.real + idx + b);
-        const auto im = V::load(sp.imag + idx + b);
-        V::store(sp.real + idx + b, V::sub(V::mul(cr, r), V::mul(ci, im)));
-        V::store(sp.imag + idx + b, V::add(V::mul(cr, im), V::mul(ci, r)));
-      });
+    ValType* __restrict r0 = sp.real + s;
+    ValType* __restrict i0 = sp.imag + s;
+    ValType* __restrict r1 = sp.real + s + offp;
+    ValType* __restrict i1 = sp.imag + s + offp;
+    ValType* __restrict r2 = sp.real + s + offq;
+    ValType* __restrict i2 = sp.imag + s + offq;
+    ValType* __restrict r3 = sp.real + s + offp + offq;
+    ValType* __restrict i3 = sp.imag + s + offp + offq;
+#pragma GCC ivdep
+    for (IdxType b = 0; b < B; ++b) {
+      const Body pb = member_body(pm, b);
+      const Body qb = member_body(qm, b);
+      const AmpPair lo = pb(r0[b], i0[b], r1[b], i1[b]);
+      const AmpPair hi = pb(r2[b], i2[b], r3[b], i3[b]);
+      const AmpPair x0 = qb(lo.r0, lo.i0, hi.r0, hi.i0);
+      const AmpPair x1 = qb(lo.r1, lo.i1, hi.r1, hi.i1);
+      r0[b] = x0.r0;
+      i0[b] = x0.i0;
+      r2[b] = x0.r1;
+      i2[b] = x0.i1;
+      r1[b] = x1.r0;
+      i1[b] = x1.i0;
+      r3[b] = x1.r1;
+      i3[b] = x1.i1;
     }
   }
 }
@@ -1028,167 +203,155 @@ void bk_rzz(const BGate& bg, const BatchedSpace& sp, IdxType begin,
 // Divergent kernels: measure / reset with a per-member exec-mask, and the
 // per-member sampling measure-all. These are where batch members stop
 // agreeing — each draws on its own RNG stream and may collapse in its own
-// direction — so the collapse loops run masked, with all-on/all-off fast
-// paths that skip every blend when the whole batch went the same way.
+// direction — so the collapse loops select per member, with all-on/all-off
+// fast paths that skip every select when the whole batch went the same way.
 // ---------------------------------------------------------------------------
 
-template <class L>
-void bk_measure(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-                IdxType end) {
-  const IdxType q = bg.g.qb0;
+namespace batched_detail {
+
+/// Per-member |amplitude|² summed over the pairs' `off` members in the
+/// solo kernel's pair order, so each member's sum reproduces its solo run.
+inline std::vector<ValType> member_probs(const BatchedSpace& sp, IdxType q,
+                                         IdxType off, IdxType begin,
+                                         IdxType end) {
+  const IdxType B = sp.batch;
+  std::vector<ValType> acc(static_cast<std::size_t>(B), 0);
+  ValType* __restrict a = acc.data();
+  for (IdxType i = begin; i < end; ++i) {
+    const ValType* r = sp.real + pair_base(i, q) * B + off;
+    const ValType* im = sp.imag + pair_base(i, q) * B + off;
+#pragma GCC ivdep
+    for (IdxType b = 0; b < B; ++b) a[b] += r[b] * r[b] + im[b] * im[b];
+  }
+  return acc;
+}
+
+} // namespace batched_detail
+
+inline void bk_measure(const Gate& g, const BatchedSpace& sp, IdxType begin,
+                       IdxType end) {
+  const IdxType q = g.qb0;
   const IdxType B = sp.batch;
   const IdxType stride = pow2(q) * B;
 
-  // Phase 1: per-member P(|1>), accumulated in the solo kernel's pair
-  // order so each member's sum reproduces its solo run.
-  std::vector<ValType> acc(static_cast<std::size_t>(B), 0);
-  ValType* accp = acc.data();
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p1 = pair_base(i, q) * B + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto r = V::load(sp.real + p1 + b);
-      const auto im = V::load(sp.imag + p1 + b);
-      V::store(accp + b, V::add(V::load(accp + b),
-                                V::add(V::mul(r, r), V::mul(im, im))));
-    });
-  }
+  // Phase 1: per-member P(|1>).
+  const std::vector<ValType> prob =
+      batched_detail::member_probs(sp, q, stride, begin, end);
 
   // Phase 2: per-member draw on that member's own stream; build the
-  // exec-mask (~0 = outcome |1>), scales, and classical bits.
-  std::vector<std::uint64_t> one_mask(static_cast<std::size_t>(B));
+  // exec-mask (1 = outcome |1>), scales, and classical bits.
+  std::vector<std::int64_t> mask(static_cast<std::size_t>(B));
   std::vector<ValType> scale(static_cast<std::size_t>(B));
   IdxType n_one = 0;
   for (IdxType b = 0; b < B; ++b) {
-    const ValType prob1 =
-        std::clamp(acc[static_cast<std::size_t>(b)], ValType{0}, ValType{1});
-    const ValType u = sp.rngs[b].next_double();
-    const bool one = u < prob1;
+    const auto ub = static_cast<std::size_t>(b);
+    const ValType prob1 = std::clamp(prob[ub], ValType{0}, ValType{1});
+    const bool one = sp.rngs[b].next_double() < prob1;
     const ValType keep = one ? prob1 : (1.0 - prob1);
-    scale[static_cast<std::size_t>(b)] =
-        keep > 0 ? 1.0 / std::sqrt(keep) : 0.0;
-    one_mask[static_cast<std::size_t>(b)] = one ? ~std::uint64_t{0} : 0;
+    scale[ub] = keep > 0 ? 1.0 / std::sqrt(keep) : 0.0;
+    mask[ub] = one ? 1 : 0;
     if (one) ++n_one;
-    if (sp.cbits != nullptr && bg.g.cbit >= 0) {
-      sp.cbits[bg.g.cbit * B + b] = one ? 1 : 0;
+    if (sp.cbits != nullptr && g.cbit >= 0) {
+      sp.cbits[g.cbit * B + b] = one ? 1 : 0;
     }
   }
-  const std::uint64_t* maskp = one_mask.data();
-  const ValType* scalep = scale.data();
-  const bool all_one = n_one == B;
-  const bool all_zero = n_one == 0;
+  const std::int64_t* m = mask.data();
+  const ValType* sc = scale.data();
 
-  // Phase 3: collapse + renormalize, masked. The uniform fast paths are
-  // the scalar kernel's two branches verbatim; the divergent path blends
-  // per member.
+  // Phase 3: collapse + renormalize. The uniform fast paths are the solo
+  // kernel's two branches; the divergent path selects per member.
   for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    const IdxType p1 = p0 + stride;
-    if (all_one) {
-      for_members<L>(B, [&]<class V>(IdxType b) {
-        const auto sc = V::load(scalep + b);
-        V::store(sp.real + p0 + b, V::zero());
-        V::store(sp.imag + p0 + b, V::zero());
-        V::store(sp.real + p1 + b, V::mul(V::load(sp.real + p1 + b), sc));
-        V::store(sp.imag + p1 + b, V::mul(V::load(sp.imag + p1 + b), sc));
-      });
-    } else if (all_zero) {
-      for_members<L>(B, [&]<class V>(IdxType b) {
-        const auto sc = V::load(scalep + b);
-        V::store(sp.real + p0 + b, V::mul(V::load(sp.real + p0 + b), sc));
-        V::store(sp.imag + p0 + b, V::mul(V::load(sp.imag + p0 + b), sc));
-        V::store(sp.real + p1 + b, V::zero());
-        V::store(sp.imag + p1 + b, V::zero());
-      });
+    ValType* __restrict r0 = sp.real + pair_base(i, q) * B;
+    ValType* __restrict i0 = sp.imag + pair_base(i, q) * B;
+    ValType* __restrict r1 = r0 + stride;
+    ValType* __restrict i1 = i0 + stride;
+    if (n_one == B) {
+#pragma GCC ivdep
+      for (IdxType b = 0; b < B; ++b) {
+        r0[b] = 0;
+        i0[b] = 0;
+        r1[b] = r1[b] * sc[b];
+        i1[b] = i1[b] * sc[b];
+      }
+    } else if (n_one == 0) {
+#pragma GCC ivdep
+      for (IdxType b = 0; b < B; ++b) {
+        r0[b] = r0[b] * sc[b];
+        i0[b] = i0[b] * sc[b];
+        r1[b] = 0;
+        i1[b] = 0;
+      }
     } else {
-      for_members<L>(B, [&]<class V>(IdxType b) {
-        const auto m = V::mask(maskp + b);
-        const auto sc = V::load(scalep + b);
-        const auto z = V::zero();
-        const auto r0 = V::load(sp.real + p0 + b);
-        const auto i0 = V::load(sp.imag + p0 + b);
-        const auto r1 = V::load(sp.real + p1 + b);
-        const auto i1 = V::load(sp.imag + p1 + b);
-        // outcome |1>: p0 <- 0,        p1 <- p1*scale
-        // outcome |0>: p0 <- p0*scale, p1 <- 0
-        V::store(sp.real + p0 + b, V::blend(V::mul(r0, sc), z, m));
-        V::store(sp.imag + p0 + b, V::blend(V::mul(i0, sc), z, m));
-        V::store(sp.real + p1 + b, V::blend(z, V::mul(r1, sc), m));
-        V::store(sp.imag + p1 + b, V::blend(z, V::mul(i1, sc), m));
-      });
+      // outcome |1>: p0 <- 0,        p1 <- p1*scale
+      // outcome |0>: p0 <- p0*scale, p1 <- 0
+#pragma GCC ivdep
+      for (IdxType b = 0; b < B; ++b) {
+        const bool one = m[b] != 0;
+        r0[b] = one ? 0 : r0[b] * sc[b];
+        i0[b] = one ? 0 : i0[b] * sc[b];
+        r1[b] = one ? r1[b] * sc[b] : 0;
+        i1[b] = one ? i1[b] * sc[b] : 0;
+      }
     }
   }
 }
 
-template <class L>
-void bk_reset(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-              IdxType end) {
-  const IdxType q = bg.g.qb0;
+inline void bk_reset(const Gate& g, const BatchedSpace& sp, IdxType begin,
+                     IdxType end) {
+  const IdxType q = g.qb0;
   const IdxType B = sp.batch;
   const IdxType stride = pow2(q) * B;
 
   // Per-member P(|0>), solo pair order.
-  std::vector<ValType> acc(static_cast<std::size_t>(B), 0);
-  ValType* accp = acc.data();
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto r = V::load(sp.real + p0 + b);
-      const auto im = V::load(sp.imag + p0 + b);
-      V::store(accp + b, V::add(V::load(accp + b),
-                                V::add(V::mul(r, r), V::mul(im, im))));
-    });
-  }
+  const std::vector<ValType> prob =
+      batched_detail::member_probs(sp, q, 0, begin, end);
 
   // Exec-mask: set = project-onto-|0> path (prob0 > 1e-12), clear = the
   // qubit is deterministically |1> and its halves swap. No RNG draw —
   // reset is deterministic, matching the solo kernel's stream position.
-  std::vector<std::uint64_t> keep_mask(static_cast<std::size_t>(B));
+  std::vector<std::int64_t> mask(static_cast<std::size_t>(B));
   std::vector<ValType> scale(static_cast<std::size_t>(B));
   IdxType n_keep = 0;
   for (IdxType b = 0; b < B; ++b) {
-    const ValType prob0 =
-        std::clamp(acc[static_cast<std::size_t>(b)], ValType{0}, ValType{1});
+    const auto ub = static_cast<std::size_t>(b);
+    const ValType prob0 = std::clamp(prob[ub], ValType{0}, ValType{1});
     const bool keep = prob0 > 1e-12;
-    keep_mask[static_cast<std::size_t>(b)] = keep ? ~std::uint64_t{0} : 0;
-    scale[static_cast<std::size_t>(b)] = keep ? 1.0 / std::sqrt(prob0) : 0.0;
+    mask[ub] = keep ? 1 : 0;
+    scale[ub] = keep ? 1.0 / std::sqrt(prob0) : 0.0;
     if (keep) ++n_keep;
   }
-  const std::uint64_t* maskp = keep_mask.data();
-  const ValType* scalep = scale.data();
-  const bool all_keep = n_keep == B;
-  const bool all_move = n_keep == 0;
+  const std::int64_t* m = mask.data();
+  const ValType* sc = scale.data();
 
   for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    const IdxType p1 = p0 + stride;
-    if (all_keep) {
-      for_members<L>(B, [&]<class V>(IdxType b) {
-        const auto sc = V::load(scalep + b);
-        V::store(sp.real + p0 + b, V::mul(V::load(sp.real + p0 + b), sc));
-        V::store(sp.imag + p0 + b, V::mul(V::load(sp.imag + p0 + b), sc));
-        V::store(sp.real + p1 + b, V::zero());
-        V::store(sp.imag + p1 + b, V::zero());
-      });
-    } else if (all_move) {
-      for_members<L>(B, [&]<class V>(IdxType b) {
-        V::store(sp.real + p0 + b, V::load(sp.real + p1 + b));
-        V::store(sp.imag + p0 + b, V::load(sp.imag + p1 + b));
-        V::store(sp.real + p1 + b, V::zero());
-        V::store(sp.imag + p1 + b, V::zero());
-      });
+    ValType* __restrict r0 = sp.real + pair_base(i, q) * B;
+    ValType* __restrict i0 = sp.imag + pair_base(i, q) * B;
+    ValType* __restrict r1 = r0 + stride;
+    ValType* __restrict i1 = i0 + stride;
+    if (n_keep == B) {
+#pragma GCC ivdep
+      for (IdxType b = 0; b < B; ++b) {
+        r0[b] = r0[b] * sc[b];
+        i0[b] = i0[b] * sc[b];
+      }
+    } else if (n_keep == 0) {
+#pragma GCC ivdep
+      for (IdxType b = 0; b < B; ++b) {
+        r0[b] = r1[b];
+        i0[b] = i1[b];
+      }
     } else {
-      for_members<L>(B, [&]<class V>(IdxType b) {
-        const auto m = V::mask(maskp + b);
-        const auto sc = V::load(scalep + b);
-        const auto r0 = V::load(sp.real + p0 + b);
-        const auto i0 = V::load(sp.imag + p0 + b);
-        const auto r1 = V::load(sp.real + p1 + b);
-        const auto i1 = V::load(sp.imag + p1 + b);
-        V::store(sp.real + p0 + b, V::blend(r1, V::mul(r0, sc), m));
-        V::store(sp.imag + p0 + b, V::blend(i1, V::mul(i0, sc), m));
-        V::store(sp.real + p1 + b, V::zero());
-        V::store(sp.imag + p1 + b, V::zero());
-      });
+#pragma GCC ivdep
+      for (IdxType b = 0; b < B; ++b) {
+        const bool keep = m[b] != 0;
+        r0[b] = keep ? r0[b] * sc[b] : r1[b];
+        i0[b] = keep ? i0[b] * sc[b] : i1[b];
+      }
+    }
+#pragma GCC ivdep
+    for (IdxType b = 0; b < B; ++b) {
+      r1[b] = 0;
+      i1[b] = 0;
     }
   }
 }
@@ -1197,8 +360,8 @@ void bk_reset(const BGate& bg, const BatchedSpace& sp, IdxType begin,
 /// own distribution with its own draws (the solo kern_measure_all loop,
 /// member-wise), without collapsing. The per-member column scan is
 /// strided, but sampling runs once per circuit — not worth a transpose.
-template <class L>
-void bk_measure_all(const BGate&, const BatchedSpace& sp, IdxType, IdxType) {
+inline void bk_measure_all(const Gate&, const BatchedSpace& sp, IdxType,
+                           IdxType) {
   const IdxType shots = sp.n_shots;
   const IdxType B = sp.batch;
   for (IdxType b = 0; b < B; ++b) {
@@ -1236,12 +399,12 @@ void bk_measure_all(const BGate&, const BatchedSpace& sp, IdxType, IdxType) {
 // ---------------------------------------------------------------------------
 
 /// A diagonal gate lifted to the batch: per-member phase rows indexed by
-/// the operand bit pattern k (as DiagTerm), row 2k = real, 2k+1 = imag.
+/// the operand bit pattern k (as DiagTerm) — pattern k's U1Body rows are
+/// rows 2k (real) and 2k+1 (imag), `batch` members each.
 struct BDiagGate {
   IdxType qa = -1;
   IdxType qb = -1;
-  const ValType* rows = nullptr; // 8 rows of `stride` members
-  IdxType stride = 0;
+  const ValType* rows = nullptr; // 8 rows of `batch` members
   bool identity[4] = {true, true, true, true}; // all members trivial at k
 };
 
@@ -1258,10 +421,9 @@ inline void bdiag_fill(const DiagTerm& t, ValType* rows, IdxType stride,
 
 /// Apply one batched diagonal gate to amplitudes [base, base+len): the
 /// phase pattern k depends only on the amplitude index (same for every
-/// member), so each amplitude is one row-select plus a complex multiply
-/// across the batch. Patterns that are identity for every member skip the
-/// sweep — the usual case for control-like gates on half their range.
-template <class L>
+/// member), so each amplitude is one row-select plus the U1 phase across
+/// the batch. Patterns that are identity for every member skip the sweep
+/// — the usual case for control-like gates on half their range.
 inline void bapply_diag(const BDiagGate& d, const BatchedSpace& sp,
                         IdxType base, IdxType len) {
   const IdxType B = sp.batch;
@@ -1270,121 +432,30 @@ inline void bapply_diag(const BDiagGate& d, const BatchedSpace& sp,
     int k = static_cast<int>((idx >> d.qa) & 1);
     if (d.qb >= 0) k |= static_cast<int>((idx >> d.qb) & 1) << 1;
     if (d.identity[k]) continue;
-    const ValType* pr = d.rows + (2 * k) * d.stride;
-    const ValType* pi = d.rows + (2 * k + 1) * d.stride;
-    const IdxType off = idx * B;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto qr = V::load(pr + b);
-      const auto qi = V::load(pi + b);
-      const auto r = V::load(sp.real + off + b);
-      const auto im = V::load(sp.imag + off + b);
-      V::store(sp.real + off + b, V::sub(V::mul(qr, r), V::mul(qi, im)));
-      V::store(sp.imag + off + b, V::add(V::mul(qr, im), V::mul(qi, r)));
-    });
+    const MemberRows<U1Body> phase{d.rows + 2 * k * B, B};
+    ValType* __restrict r = sp.real + idx * B;
+    ValType* __restrict im = sp.imag + idx * B;
+#pragma GCC ivdep
+    for (IdxType b = 0; b < B; ++b) {
+      const Amp o = member_body(phase, b)(r[b], im[b]);
+      r[b] = o.re;
+      im[b] = o.im;
+    }
   }
 }
 
-using BatchedDiagFn = void (*)(const BDiagGate&, const BatchedSpace&, IdxType,
-                               IdxType);
-
-// ---------------------------------------------------------------------------
-// Dispatch: the batched twin of local_kernel_table(). Unlike the solo
-// path — which refuses a SIMD level the build lacks — the batched table
-// CLAMPS to the widest compiled+supported lane (the runtime-dispatch
-// fallback path): the batch tail already needs the scalar lane, so every
-// build carries a correct fallback and a too-ambitious request can
-// degrade instead of failing.
-// ---------------------------------------------------------------------------
-
-struct BatchedTable {
-  std::array<BatchedKernelFn, static_cast<std::size_t>(kNumOps)> fns{};
-  BatchedDiagFn diag = nullptr;
-  BatchedKernelFn pair1q = nullptr; // combined two-1q-gate quad pass
-  BatchedKernelFn pair1q_real = nullptr; // both matrices purely real
-  SimdLevel level = SimdLevel::kScalar;
-  IdxType lane_width = 1;
-};
-
-namespace batched_detail {
-
-template <class L>
-inline BatchedTable build_batched_table(SimdLevel level) {
-  BatchedTable t;
-  t.level = level;
-  t.lane_width = L::W;
-  t.diag = &bapply_diag<L>;
-  t.pair1q = &bk_pair1q<L>;
-  t.pair1q_real = &bk_pair1q_real<L>;
-  auto& f = t.fns;
-  f[static_cast<int>(OP::U3)] = &bk_u3<L>;
-  f[static_cast<int>(OP::U2)] = &bk_u2<L>;
-  f[static_cast<int>(OP::U1)] = &bk_u1<L>;
-  f[static_cast<int>(OP::CX)] = &bk_cx<L>;
-  f[static_cast<int>(OP::ID)] = &bk_id<L>;
-  f[static_cast<int>(OP::X)] = &bk_x<L>;
-  f[static_cast<int>(OP::Y)] = &bk_y<L>;
-  f[static_cast<int>(OP::Z)] = &bk_z<L>;
-  f[static_cast<int>(OP::H)] = &bk_h<L>;
-  f[static_cast<int>(OP::S)] = &bk_s<L>;
-  f[static_cast<int>(OP::SDG)] = &bk_sdg<L>;
-  f[static_cast<int>(OP::T)] = &bk_t<L>;
-  f[static_cast<int>(OP::TDG)] = &bk_tdg<L>;
-  f[static_cast<int>(OP::RX)] = &bk_rx<L>;
-  f[static_cast<int>(OP::RY)] = &bk_ry<L>;
-  f[static_cast<int>(OP::RZ)] = &bk_rz<L>;
-  f[static_cast<int>(OP::CZ)] = &bk_cz<L>;
-  f[static_cast<int>(OP::CY)] = &bk_cy<L>;
-  f[static_cast<int>(OP::CH)] = &bk_ch<L>;
-  f[static_cast<int>(OP::SWAP)] = &bk_swap<L>;
-  f[static_cast<int>(OP::CRX)] = &bk_crx<L>;
-  f[static_cast<int>(OP::CRY)] = &bk_cry<L>;
-  f[static_cast<int>(OP::CRZ)] = &bk_crz<L>;
-  f[static_cast<int>(OP::CU1)] = &bk_cu1<L>;
-  f[static_cast<int>(OP::CU3)] = &bk_cu3<L>;
-  f[static_cast<int>(OP::RXX)] = &bk_rxx<L>;
-  f[static_cast<int>(OP::RZZ)] = &bk_rzz<L>;
-  f[static_cast<int>(OP::M)] = &bk_measure<L>;
-  f[static_cast<int>(OP::MA)] = &bk_measure_all<L>;
-  f[static_cast<int>(OP::RESET)] = &bk_reset<L>;
-  f[static_cast<int>(OP::BARRIER)] = &bk_barrier<L>;
+/// The batched op -> kernel table: the solo unitary kernels on
+/// BatchedSpace, plus the divergent measure, reset and measure-all.
+inline const std::array<KernelFn<BatchedSpace>, kNumOps>&
+batched_kernel_table() {
+  static const std::array<KernelFn<BatchedSpace>, kNumOps> t = [] {
+    auto t = unitary_kernels<BatchedSpace>();
+    t[static_cast<int>(OP::M)] = &bk_measure;
+    t[static_cast<int>(OP::MA)] = &bk_measure_all;
+    t[static_cast<int>(OP::RESET)] = &bk_reset;
+    return t;
+  }();
   return t;
-}
-
-} // namespace batched_detail
-
-/// Widest lane this build + CPU can actually run, at most `want`.
-inline SimdLevel batched_effective_level(SimdLevel want) {
-  const SimdLevel avail = max_simd_level();
-  return want <= avail ? want : avail;
-}
-
-/// The batched kernel table for `want`, clamped to the available level.
-inline const BatchedTable& batched_kernel_table(SimdLevel want) {
-  switch (batched_effective_level(want)) {
-    case SimdLevel::kAvx512: {
-#if defined(__AVX512F__) && !defined(SVSIM_FORCE_SCALAR)
-      static const BatchedTable t =
-          batched_detail::build_batched_table<Avx512Lane>(SimdLevel::kAvx512);
-      return t;
-#else
-      break;
-#endif
-    }
-    case SimdLevel::kAvx2: {
-#if defined(__AVX2__) && !defined(SVSIM_FORCE_SCALAR)
-      static const BatchedTable t =
-          batched_detail::build_batched_table<Avx2Lane>(SimdLevel::kAvx2);
-      return t;
-#else
-      break;
-#endif
-    }
-    case SimdLevel::kScalar:
-      break;
-  }
-  static const BatchedTable scalar =
-      batched_detail::build_batched_table<ScalarLane>(SimdLevel::kScalar);
-  return scalar;
 }
 
 } // namespace svsim::kernels

@@ -10,7 +10,6 @@ PeerSim::PeerSim(IdxType n_qubits, int n_devices, SimConfig cfg)
       dim_(obs::admit_dim("peer", n_qubits, n_devices, 1, cfg.mem_limit)),
       n_dev_(n_devices),
       cfg_(cfg),
-      local_table_(&local_kernel_table(cfg.simd)),
       cbits_(static_cast<std::size_t>(n_qubits), 0) {
   SVSIM_CHECK(n_devices >= 1 && is_pow2(n_devices),
               "device count must be a power of two");
@@ -102,8 +101,6 @@ void PeerSim::run(const Circuit& circuit) {
                                   .runs = runs,
                                   .n_workers = n_dev_,
                                   .lg_part = lg_part_,
-                                  .table = KernelTable<PeerSpace>::get(),
-                                  .local_table = local_table_,
                                   .layout = &layout_,
                                   .ma_layouts = &ma_layouts_,
                                   .mctx = &mctx_},

@@ -51,8 +51,6 @@ private:
   int n_dev_;
   IdxType lg_part_; // log2(amplitudes per device)
   SimConfig cfg_;
-  // Owner-computes kernels for PE-local gates, resolved at construction.
-  const KernelTable<LocalSpace>::Table* local_table_;
 
   // One partition per device — "SAFE_ALOC_GPU(sv_real_ptr[d], ...)".
   std::vector<obs::TrackedBuffer<ValType>> real_parts_;

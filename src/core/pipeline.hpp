@@ -73,12 +73,9 @@ struct RunSpec {
   obs::Counter& runs; // "runs.<backend>"
   int n_workers = 1;
   IdxType lg_part = 0; // log2(amplitudes per worker): blocks stay inside
-  const typename KernelTable<Space>::Table& table;
-  // Partitioned backends only: the owner-computes kernels for PE-local
-  // gates, and the remap state (see Simulator::maybe_remap) — the
-  // persistent layout, the storage behind MeasureCtx::ma_layouts, and the
-  // MeasureCtx that reads them.
-  const KernelTable<LocalSpace>::Table* local_table = nullptr;
+  // Partitioned backends only: the remap state (see Simulator::maybe_remap)
+  // — the persistent layout, the storage behind MeasureCtx::ma_layouts,
+  // and the MeasureCtx that reads them.
   std::vector<IdxType>* layout = nullptr;
   std::vector<IdxType>* ma_layouts = nullptr;
   MeasureCtx* mctx = nullptr;
@@ -108,7 +105,7 @@ void Simulator::run_pipeline(const Circuit& circuit,
   const Circuit& exec = rm ? rm->circuit : circuit;
 
   const auto device_circuit =
-      upload_circuit<Space>(exec, spec.table, spec.local_table, spec.lg_part);
+      upload_circuit<Space>(exec, KernelTable<Space>::get(), spec.lg_part);
 
   std::unique_ptr<obs::GateRecorder> rec;
   if (profiling_on(cfg)) {

@@ -20,7 +20,6 @@ ShmemSim::ShmemSim(IdxType n_qubits, int n_pes, SimConfig cfg,
       dim_(obs::admit_dim("shmem", n_qubits, n_pes, 1, cfg.mem_limit)),
       n_pes_(n_pes),
       cfg_(cfg),
-      local_table_(&local_kernel_table(cfg.simd)),
       runtime_(n_pes, heap_bytes != 0 ? heap_bytes
                                       : default_heap_bytes(n_qubits, n_pes)),
       cbits_(static_cast<std::size_t>(n_qubits), 0) {
@@ -104,8 +103,6 @@ void ShmemSim::run(const Circuit& circuit) {
                                    .runs = runs,
                                    .n_workers = n_pes_,
                                    .lg_part = lg_part_,
-                                   .table = KernelTable<ShmemSpace>::get(),
-                                   .local_table = local_table_,
                                    .layout = &layout_,
                                    .ma_layouts = &ma_layouts_,
                                    .mctx = &mctx_},

@@ -55,8 +55,6 @@ private:
   int n_pes_;
   IdxType lg_part_;
   SimConfig cfg_;
-  // Owner-computes kernels for PE-local gates, resolved at construction.
-  const KernelTable<LocalSpace>::Table* local_table_;
 
   shmem::Runtime runtime_;
   // Per-PE pointers into the symmetric allocation (valid for the lifetime

@@ -41,10 +41,7 @@ SingleSim::SingleSim(IdxType n_qubits, SimConfig cfg)
       imag_(static_cast<std::size_t>(dim_), obs::MemTag::kState, 0),
       cbits_(static_cast<std::size_t>(n_qubits), 0),
       rngs_(static_cast<std::size_t>(threads_), Rng(cfg.seed)),
-      scratch_(static_cast<std::size_t>(threads_), 0),
-      table_(&local_kernel_table(cfg.simd)) {
-  SVSIM_CHECK(cfg.simd <= max_simd_level(),
-              "requested SIMD level not supported by this CPU/build");
+      scratch_(static_cast<std::size_t>(threads_), 0) {
   real_[0] = 1.0; // |0...0>
   mctx_.cbits = cbits_.data();
 }
@@ -81,8 +78,7 @@ void SingleSim::run(const Circuit& circuit) {
                RunSpec<LocalSpace>{.cfg = cfg_,
                                    .runs = runs,
                                    .n_workers = threads_,
-                                   .lg_part = n_ - log2_exact(threads_),
-                                   .table = *table_},
+                                   .lg_part = n_ - log2_exact(threads_)},
                launch, [](obs::RunReport&) {});
 }
 

@@ -1,9 +1,9 @@
 // SingleSim: the single-device backend (§3.2.1).
 //
 // Homogeneous execution: the whole circuit runs as one simulation-kernel
-// loop of preloaded function pointers; specialized kernels per gate; and
-// optionally the architecture-specialized AVX2/AVX-512 kernel table
-// (Listing 2) selected at construction. The loop runs on a team of
+// loop of preloaded function pointers, with a specialized kernel per gate
+// whose contiguous-run walks the compiler vectorizes for the build's
+// -march (the role of Listing 2's hand-written AVX-512). The loop runs on a team of
 // SimConfig::threads host threads that share the one state vector — the
 // CPU analogue of the paper's grid-stride kernel over every SM, with a
 // team barrier for grid.sync() (DESIGN.md §15). Each worker owns a
@@ -41,7 +41,6 @@ public:
   ValType* imag() { return imag_.data(); }
   IdxType dim() const { return dim_; }
 
-  SimdLevel simd_level() const { return cfg_.simd; }
   /// The resolved team size T (SimConfig::threads).
   int threads() const { return threads_; }
 
@@ -56,7 +55,6 @@ private:
   MeasureCtx mctx_;
   std::vector<Rng> rngs_;        // per-worker replicas, same seed (lockstep)
   std::vector<ValType> scratch_; // one reduction slot per worker
-  const KernelTable<LocalSpace>::Table* table_; // preloaded at construction
 };
 
 } // namespace svsim

@@ -12,8 +12,10 @@
 //                  SHMEM symmetric heap and an element access through the
 //                  policy is a one-sided get/put, Listing 5's
 //                  nvshmem_double_g / nvshmem_double_p pattern.
+//  * BatchedSpace — B state vectors batch-innermost: the unitary kernels
+//                  run each gate body over the B members of an amplitude.
 //
-// Owner-computes (DESIGN.md §13): every policy also exposes local_view(),
+// Owner-computes (DESIGN.md §13): every solo policy exposes local_view(),
 // a LocalSpace over the worker's own partition. The gate loop runs gates
 // whose operands are all below the partition bits, and blocked windows,
 // on that view with partition-relative indices, so only gates on a
@@ -117,6 +119,26 @@ struct LocalSpace {
     const IdxType first = part * worker_id;
     return LocalSpace{real + first, imag + first, part, mctx, rng};
   }
+};
+
+// ---------------------------------------------------------------------------
+// BatchedSpace: BatchedSim's B state vectors, batch-innermost. Not run by
+// the gate loop: BatchedSim calls the unitary kernels on it directly, and
+// the walks run each body over the B contiguous members of an amplitude
+// (core/kernels/apply.hpp).
+// ---------------------------------------------------------------------------
+struct BatchedSpace {
+  ValType* real = nullptr; // (amp k, member b) at [k*batch + b]
+  ValType* imag = nullptr;
+  IdxType dim = 0;
+  IdxType batch = 0;
+  /// The running gate's coefficient rows: member b's row r at
+  /// coef[r*batch + b], written at upload from the gate's body.
+  const ValType* coef = nullptr;
+  Rng* rngs = nullptr;        // batch streams, member b seeded base+b
+  IdxType* cbits = nullptr;   // [cbit*batch + b]
+  IdxType* results = nullptr; // measure-all: [b*n_shots + s]
+  IdxType n_shots = 0;
 };
 
 /// A partitioned Space (PeerSpace, ShmemSpace): the gate loop runs

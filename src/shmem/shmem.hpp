@@ -90,12 +90,16 @@ public:
 
   // --- One-sided point-to-point ----------------------------------------
 
+  // Each operation translates (and so validates) the target address
+  // before it counts, so a rejected PE id never reaches the counters.
+
   /// One-sided scalar load from `target_pe`'s copy of the symmetric
   /// address `sym`. Equivalent of nvshmem_double_g.
   template <typename T>
   T g(const T* sym, int target_pe) {
+    const T* remote = translate(sym, target_pe);
     count_get(target_pe, sizeof(T));
-    return *translate(sym, target_pe);
+    return *remote;
   }
 
   /// One-sided scalar store. Equivalent of nvshmem_double_p. Returns
@@ -103,8 +107,9 @@ public:
   /// guaranteed after a barrier/quiet.
   template <typename T>
   void p(T* sym, T value, int target_pe) {
+    T* remote = translate(sym, target_pe);
     count_put(target_pe, sizeof(T));
-    *translate(sym, target_pe) = value;
+    *remote = value;
   }
 
   /// Block get: copy `count` elements from target PE's `src` into local
@@ -114,8 +119,8 @@ public:
   template <typename T>
   void get(T* dst, const T* src_sym, std::size_t count, int target_pe) {
     obs::WaitScope wait(obs::WaitKind::kTransfer);
-    count_get(target_pe, count * sizeof(T));
     const T* remote = translate(src_sym, target_pe);
+    count_get(target_pe, count * sizeof(T));
     for (std::size_t i = 0; i < count; ++i) dst[i] = remote[i];
   }
 
@@ -123,8 +128,8 @@ public:
   template <typename T>
   void put(T* dst_sym, const T* src, std::size_t count, int target_pe) {
     obs::WaitScope wait(obs::WaitKind::kTransfer);
-    count_put(target_pe, count * sizeof(T));
     T* remote = translate(dst_sym, target_pe);
+    count_put(target_pe, count * sizeof(T));
     for (std::size_t i = 0; i < count; ++i) remote[i] = src[i];
   }
 
@@ -133,8 +138,8 @@ public:
   /// Atomic fetch-add on the target PE's copy of `sym`.
   template <typename T>
   T atomic_fetch_add(T* sym, T value, int target_pe) {
-    count_atomic(target_pe);
     std::atomic_ref<T> ref(*translate(sym, target_pe));
+    count_atomic(target_pe);
     return ref.fetch_add(value, std::memory_order_acq_rel);
   }
 

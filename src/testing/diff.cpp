@@ -83,9 +83,6 @@ DiffResult diff_run_batched(const Circuit& c, const DiffSpec& spec) {
   SimConfig bcfg;
   bcfg.seed = spec.seed;
   bcfg.sched_window = spec.sched ? -1 : 0;
-  // Widest lanes available: the batched axis must exercise the SIMD
-  // blend/mask paths against the solo engine, not just ScalarLane.
-  bcfg.simd = max_simd_level();
   svsim::BatchedSim bsim(c.n_qubits(), B, bcfg);
   bsim.run(exec);
 
@@ -317,8 +314,8 @@ std::vector<DiffSpec> default_sweep(int workers, std::uint64_t seed,
       }
     }
   }
-  // Batched axis: a lane-width multiple (8) and a ragged batch (5, which
-  // exercises the scalar tail after full SIMD chunks), each with the
+  // Batched axis: a vector-width multiple (8) and a ragged batch (5, which
+  // leaves the vectorized member loops a scalar remainder), each with the
   // blocked scheduler off and on, plus one fused point.
   for (const int batch : {8, 5}) {
     for (const bool sched : {false, true}) {

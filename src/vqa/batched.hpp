@@ -6,8 +6,8 @@
 // vqa::BatchedSim is the ansatz-facing adapter over the core SPMD
 // batched engine (core/batched_sim.hpp): it binds one ParamCircuit to B
 // parameter vectors and evolves the B members in lockstep through the
-// SIMD batched kernels — one upload per sweep, batch-innermost layout,
-// explicit vector lanes across members. Since the engine carries the
+// batched kernels — one upload per sweep, batch-innermost layout, the
+// vector lanes across members. Since the engine carries the
 // full kernel family including exec-masked measure and reset, ansatze
 // are no longer restricted to unitary gates: mid-circuit measurement
 // diverges per member on member-b's own RNG stream (seed cfg.seed + b).

@@ -1,14 +1,17 @@
 // Tests for the SPMD batched engine and its VQA adapter: member-by-member
 // equivalence with sequential SingleSim execution (including exec-mask
-// divergence through mid-circuit measure/reset), masked vs all-lanes-on
-// kernel paths, divergent measurement statistics, ragged batches that
-// exercise the scalar tail, runtime SIMD-dispatch clamping, batched
-// expectations, the sweep helper, and the batched optimizer overloads.
+// divergence through mid-circuit measure/reset), masked vs all-members-on
+// kernel paths, divergent measurement statistics, ragged batches, every
+// unitary op against its solo kernel, batched expectations, the sweep
+// helper, and the batched optimizer overloads.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "core/batched_sim.hpp"
+#include "core/kernels/batched.hpp"
 #include "core/single_sim.hpp"
 #include "vqa/batched.hpp"
 #include "vqa/optimizer.hpp"
@@ -217,9 +220,9 @@ TEST(BatchedEngine, ReseedReplaysChunkedCampaignExactly) {
 }
 
 TEST(BatchedEngine, RaggedBatchMatchesSoloIncludingSamples) {
-  // B = 5 is not a multiple of any lane width, so the SIMD chunks leave a
-  // scalar tail; measure/reset and the sampling pass must still replay
-  // solo seed+b exactly.
+  // B = 5 is not a multiple of any vector width, so the member loops
+  // leave a scalar remainder; measure/reset and the sampling pass must
+  // still replay solo seed+b exactly.
   const IdxType B = 5;
   const IdxType shots = 64;
   SimConfig cfg;
@@ -261,38 +264,114 @@ TEST(BatchedEngine, RaggedBatchMatchesSoloIncludingSamples) {
   }
 }
 
-TEST(BatchedEngine, RuntimeDispatchClampsAndMatchesScalar) {
-  // Requesting a wider level than the build/CPU carries must clamp to the
-  // widest available lane (never throw) and agree with a forced-scalar
-  // run of the same circuit and seed.
-  Circuit c(3);
-  c.h(0);
-  c.u3(0.4, 1.1, -0.7, 1);
-  c.cx(0, 1);
-  c.rzz(0.37, 1, 2);
-  c.measure(0, 0);
-  c.ry(0.9, 2);
+TEST(BatchedEngine, EveryUnitaryOpMatchesSoloOnEveryQubit) {
+  // The batched engine runs the solo kernels' bodies over B members, each
+  // member rebuilding its body from its own coefficient rows. Every
+  // unitary op on every qubit (every ordered pair for two-qubit ops), at
+  // B from 1 to a ragged 17, with per-member angles: member b must replay
+  // a solo run of its own circuit at seed + b — cbits and samples
+  // bit-for-bit, state within 1e-12. Barriers around the op keep the
+  // combining pass from fusing it with the preparation layer.
+  const IdxType n = 4;
+  const IdxType shots = 16;
+  const OP ops[] = {OP::ID,  OP::X,   OP::Y,   OP::Z,    OP::H,   OP::S,
+                    OP::SDG, OP::T,   OP::TDG, OP::RX,   OP::RY,  OP::RZ,
+                    OP::U1,  OP::U2,  OP::U3,  OP::CX,   OP::CY,  OP::CZ,
+                    OP::CH,  OP::SWAP, OP::CRX, OP::CRY, OP::CRZ, OP::CU1,
+                    OP::CU3, OP::RXX, OP::RZZ};
+  for (const IdxType B : {1, 3, 8, 17}) {
+    for (const OP op : ops) {
+      std::vector<std::pair<IdxType, IdxType>> operands;
+      for (IdxType a = 0; a < n; ++a) {
+        if (op_info(op).n_qubits == 1) operands.emplace_back(a, -1);
+        for (IdxType b = 0; b < n && op_info(op).n_qubits == 2; ++b) {
+          if (b != a) operands.emplace_back(a, b);
+        }
+      }
+      for (const auto& [qa, qb] : operands) {
+        std::vector<Circuit> members;
+        for (IdxType b = 0; b < B; ++b) {
+          const ValType t = 0.37 + 0.11 * static_cast<ValType>(b);
+          Circuit c(n);
+          for (IdxType q = 0; q < n; ++q) {
+            c.ry(t + 0.3 * static_cast<ValType>(q), q);
+            c.barrier();
+          }
+          c.cx(0, 1);
+          c.cx(2, 3);
+          c.barrier();
+          Gate g = qb < 0 ? make_gate(op, qa) : make_gate(op, qa, qb);
+          g.theta = 1.3 * t;
+          g.phi = -0.7 * t;
+          g.lam = 0.5 + t;
+          c.append(g);
+          c.barrier();
+          c.measure(1, 1);
+          members.push_back(std::move(c));
+        }
+        SimConfig cfg;
+        cfg.seed = 500;
+        svsim::BatchedSim sim(n, B, cfg);
+        sim.run(members);
+        std::vector<StateVector> states;
+        std::vector<std::vector<IdxType>> cbits;
+        for (IdxType b = 0; b < B; ++b) {
+          states.push_back(sim.state(b));
+          cbits.push_back(sim.member_cbits(b));
+        }
+        const auto samples = sim.sample_members(shots);
+        for (IdxType b = 0; b < B; ++b) {
+          const auto ub = static_cast<std::size_t>(b);
+          SimConfig scfg;
+          scfg.seed = 500 + static_cast<std::uint64_t>(b);
+          SingleSim solo(n, scfg);
+          solo.run(members[ub]);
+          const std::string where = std::string(op_name(op)) + " (" +
+                                    std::to_string(qa) + "," +
+                                    std::to_string(qb) + ") B=" +
+                                    std::to_string(B) + " member " +
+                                    std::to_string(b);
+          EXPECT_EQ(cbits[ub], solo.cbits()) << where;
+          EXPECT_LT(states[ub].max_diff(solo.state()), 1e-12) << where;
+          EXPECT_EQ(samples[ub], solo.sample(shots)) << where;
+        }
+      }
+    }
+  }
+}
 
-  SimConfig wide;
-  wide.seed = 7;
-  wide.simd = SimdLevel::kAvx512;
-  svsim::BatchedSim a(3, 6, wide);
-  EXPECT_LE(static_cast<int>(a.simd_level()),
-            static_cast<int>(max_simd_level()));
-  EXPECT_GE(a.lane_width(), 1);
-  a.run_fresh(c);
-
-  SimConfig narrow;
-  narrow.seed = 7;
-  narrow.simd = SimdLevel::kScalar;
-  svsim::BatchedSim s(3, 6, narrow);
-  EXPECT_EQ(s.simd_level(), SimdLevel::kScalar);
-  EXPECT_EQ(s.lane_width(), 1);
-  s.run_fresh(c);
-
-  for (IdxType b = 0; b < 6; ++b) {
-    EXPECT_EQ(a.member_cbits(b), s.member_cbits(b)) << "member " << b;
-    EXPECT_LT(a.state(b).max_diff(s.state(b)), 1e-12) << "member " << b;
+TEST(BatchedEngine, CoefficientRowsRebuildEachMembersBody) {
+  // The upload writes member b's coefficient rows from its gate through
+  // the body's own `of`; the walks rebuild member b's body from them. The
+  // round trip must give every member exactly the body the solo kernel
+  // builds for that member's gate.
+  const IdxType B = 3;
+  for (int i = 0; i < kNumOps; ++i) {
+    const OP op = static_cast<OP>(i);
+    const int rows = kernels::batched_coef_rows(op);
+    if (rows == 0) continue;
+    std::vector<ValType> coef(static_cast<std::size_t>(rows * B));
+    std::vector<Gate> gates;
+    for (IdxType b = 0; b < B; ++b) {
+      Gate g = op_info(op).n_qubits == 1 ? make_gate(op, 0)
+                                         : make_gate(op, 0, 1);
+      g.theta = 0.4 + 0.3 * static_cast<ValType>(b);
+      g.phi = -0.2 * static_cast<ValType>(b);
+      g.lam = 1.1 - 0.5 * static_cast<ValType>(b);
+      kernels::batched_fill_coef(g, coef.data(), B, b);
+      gates.push_back(g);
+    }
+    kernels::visit_coef_body(op, [&]<class Body>() {
+      EXPECT_EQ(rows, kernels::kBodyRows<Body>) << op_name(op);
+      const kernels::MemberRows<Body> m{coef.data(), B};
+      for (IdxType b = 0; b < B; ++b) {
+        const Body want = Body::of(gates[static_cast<std::size_t>(b)]);
+        const Body got = kernels::member_body(m, b);
+        EXPECT_EQ(std::memcmp(&want, &got, sizeof(Body)), 0)
+            << op_name(op) << " member " << b;
+      }
+      return 0;
+    });
   }
 }
 

@@ -79,14 +79,6 @@ TEST(Rng, GaussianMoments) {
   EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
-TEST(Config, SimdLevelRoundTrip) {
-  for (const auto lvl :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-    EXPECT_EQ(simd_level_from_string(to_string(lvl)), lvl);
-  }
-  EXPECT_THROW(simd_level_from_string("sse9"), Error);
-}
-
 TEST(Error, CheckMacroThrowsWithContext) {
   try {
     SVSIM_CHECK(1 == 2, "context message");

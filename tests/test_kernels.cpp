@@ -1,8 +1,8 @@
-// Kernel correctness: every specialized gate kernel — scalar and each
-// SIMD level — must act identically to the dense-matrix reference
-// (GeneralizedSim) on random states, for every operand qubit position
-// (including the strided low qubits and the high qubits that straddle
-// partition boundaries in the distributed tiers).
+// Kernel correctness: every specialized gate kernel must act identically
+// to the dense-matrix reference (GeneralizedSim) on random states, for
+// every operand qubit position (including the strided low qubits and the
+// high qubits that straddle partition boundaries in the distributed
+// tiers).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +16,7 @@
 namespace svsim {
 namespace {
 
-constexpr IdxType kN = 7; // 128 amplitudes: covers >8-lane SIMD + tails
+constexpr IdxType kN = 7; // 128 amplitudes: runs longer than a vector
 
 StateVector random_state(IdxType n, std::uint64_t seed) {
   Rng rng(seed);
@@ -38,44 +38,30 @@ void load(SingleSim& sim, const StateVector& sv) {
   }
 }
 
-std::vector<SimdLevel> available_levels() {
-  std::vector<SimdLevel> levels{SimdLevel::kScalar};
-  if (max_simd_level() >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
-  if (max_simd_level() >= SimdLevel::kAvx512) {
-    levels.push_back(SimdLevel::kAvx512);
-  }
-  return levels;
-}
-
 class Kernel1QTest : public ::testing::TestWithParam<OP> {};
 
 TEST_P(Kernel1QTest, MatchesDenseMatrixEverywhere) {
   const OP op = GetParam();
   const StateVector init = random_state(kN, 7777);
-  for (const SimdLevel level : available_levels()) {
-    for (IdxType q = 0; q < kN; ++q) {
-      for (const ValType t : {0.0, 0.777, -2.1}) {
-        Gate g = make_gate(op, q);
-        g.theta = t;
-        g.phi = 0.3 * t;
-        g.lam = -0.2 + t;
+  for (IdxType q = 0; q < kN; ++q) {
+    for (const ValType t : {0.0, 0.777, -2.1}) {
+      Gate g = make_gate(op, q);
+      g.theta = t;
+      g.phi = 0.3 * t;
+      g.lam = -0.2 + t;
 
-        SimConfig cfg;
-        cfg.simd = level;
-        SingleSim sim(kN, cfg);
-        load(sim, init);
-        Circuit c(kN);
-        c.append(g);
-        sim.run(c);
+      SingleSim sim(kN);
+      load(sim, init);
+      Circuit c(kN);
+      c.append(g);
+      sim.run(c);
 
-        GeneralizedSim ref(kN);
-        ref.load_state(init);
-        ref.apply_matrix(matrix_1q(g), q);
+      GeneralizedSim ref(kN);
+      ref.load_state(init);
+      ref.apply_matrix(matrix_1q(g), q);
 
-        EXPECT_LT(sim.state().max_diff(ref.state()), 1e-12)
-            << op_name(op) << " q=" << q << " t=" << t << " simd "
-            << to_string(level);
-      }
+      EXPECT_LT(sim.state().max_diff(ref.state()), 1e-12)
+          << op_name(op) << " q=" << q << " t=" << t;
     }
   }
 }
@@ -91,31 +77,26 @@ class Kernel2QTest : public ::testing::TestWithParam<OP> {};
 TEST_P(Kernel2QTest, MatchesDenseMatrixEverywhere) {
   const OP op = GetParam();
   const StateVector init = random_state(kN, 31415);
-  for (const SimdLevel level : available_levels()) {
-    for (auto [a, b] :
-         {std::pair<IdxType, IdxType>{0, 1}, {1, 0}, {0, kN - 1},
-          {kN - 1, 0}, {2, 5}, {5, 2}, {kN - 2, kN - 1}}) {
-      Gate g = make_gate(op, a, b);
-      g.theta = 0.613;
-      g.phi = -0.35;
-      g.lam = 1.2;
+  for (auto [a, b] :
+       {std::pair<IdxType, IdxType>{0, 1}, {1, 0}, {0, kN - 1}, {kN - 1, 0},
+        {2, 5}, {5, 2}, {kN - 2, kN - 1}}) {
+    Gate g = make_gate(op, a, b);
+    g.theta = 0.613;
+    g.phi = -0.35;
+    g.lam = 1.2;
 
-      SimConfig cfg;
-      cfg.simd = level;
-      SingleSim sim(kN, cfg);
-      load(sim, init);
-      Circuit c(kN);
-      c.append(g);
-      sim.run(c);
+    SingleSim sim(kN);
+    load(sim, init);
+    Circuit c(kN);
+    c.append(g);
+    sim.run(c);
 
-      GeneralizedSim ref(kN);
-      ref.load_state(init);
-      ref.apply_matrix(matrix_2q(g), a, b);
+    GeneralizedSim ref(kN);
+    ref.load_state(init);
+    ref.apply_matrix(matrix_2q(g), a, b);
 
-      EXPECT_LT(sim.state().max_diff(ref.state()), 1e-12)
-          << op_name(op) << " (" << a << "," << b << ") simd "
-          << to_string(level);
-    }
+    EXPECT_LT(sim.state().max_diff(ref.state()), 1e-12)
+        << op_name(op) << " (" << a << "," << b << ")";
   }
 }
 
@@ -125,15 +106,12 @@ INSTANTIATE_TEST_SUITE_P(AllOps, Kernel2QTest,
                                            OP::CRZ, OP::CU1, OP::CU3, OP::RXX,
                                            OP::RZZ));
 
-// Sub-range calls: a worker's slice, a blocked window's block and a SIMD
-// kernel's scalar tail all start mid-run, where a contiguous run of 2^q
-// pairs (2^p quadruples) is split between two calls. Every kernel of the
-// default table, at every operand position, split at cuts that fall
-// mid-run (also for q in {0, 1, 2}, where a run is shorter than a
-// vector) must leave the state bit-for-bit equal to one whole-range call.
-// A SIMD table's own kernels are held to 1e-15 instead: their 8-lane
-// bodies use explicit FMAs and their tails the default kernel, so a cut
-// that moves an item from lanes to tail may change its last bit.
+// Sub-range calls: a worker's slice and a blocked window's block start
+// mid-run, where a contiguous run of 2^q pairs (2^p quadruples) is split
+// between two calls. Every kernel of the table, at every operand
+// position, split at cuts that fall mid-run (also for q in {0, 1, 2},
+// where a run is shorter than a vector) must leave the state bit-for-bit
+// equal to one whole-range call.
 class KernelSubRangeTest : public ::testing::TestWithParam<OP> {};
 
 TEST_P(KernelSubRangeTest, SplitCallsMatchOneWholeRangeCall) {
@@ -163,35 +141,22 @@ TEST_P(KernelSubRangeTest, SplitCallsMatchOneWholeRangeCall) {
     re.insert(re.end(), im.begin(), im.end());
     return re;
   };
-  const KernelFn<LocalSpace> default_fn =
+  const KernelFn<LocalSpace> fn =
       KernelTable<LocalSpace>::get()[static_cast<std::size_t>(op)];
-  for (const SimdLevel level : available_levels()) {
-    const KernelFn<LocalSpace> fn =
-        local_kernel_table(level)[static_cast<std::size_t>(op)];
-    ASSERT_NE(fn, nullptr);
-    for (const auto& [a, b] : operands) {
-      Gate g = b < 0 ? make_gate(op, a) : make_gate(op, a, b);
-      g.theta = 0.613;
-      g.phi = -0.35;
-      g.lam = 1.2;
-      const IdxType work = gate_work_items(g, kN);
-      const std::vector<ValType> whole = apply(fn, g, {0, work});
-      const std::vector<ValType> split =
-          apply(fn, g, {0, 1, 3, 5, work / 2 + 1, work});
-      const std::string where = std::string(op_name(op)) + " (" +
-                                std::to_string(a) + "," + std::to_string(b) +
-                                ") simd " + to_string(level);
-      if (fn == default_fn) {
-        EXPECT_EQ(std::memcmp(whole.data(), split.data(),
-                              whole.size() * sizeof(ValType)),
-                  0)
-            << where;
-      } else {
-        for (std::size_t k = 0; k < whole.size(); ++k) {
-          ASSERT_NEAR(whole[k], split[k], 1e-15) << where << " at " << k;
-        }
-      }
-    }
+  ASSERT_NE(fn, nullptr);
+  for (const auto& [a, b] : operands) {
+    Gate g = b < 0 ? make_gate(op, a) : make_gate(op, a, b);
+    g.theta = 0.613;
+    g.phi = -0.35;
+    g.lam = 1.2;
+    const IdxType work = gate_work_items(g, kN);
+    const std::vector<ValType> whole = apply(fn, g, {0, work});
+    const std::vector<ValType> split =
+        apply(fn, g, {0, 1, 3, 5, work / 2 + 1, work});
+    EXPECT_EQ(std::memcmp(whole.data(), split.data(),
+                          whole.size() * sizeof(ValType)),
+              0)
+        << op_name(op) << " (" << a << "," << b << ")";
   }
 }
 
@@ -249,16 +214,11 @@ TEST(KernelSubRange, PeerAccessCountsMatchHandCounts) {
   }
 }
 
-// Norm preservation under long random unitary circuits — per SIMD level.
+// Norm preservation under long random unitary circuits.
 class NormPreservationTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(NormPreservationTest, RandomCircuitKeepsNormOne) {
-  const auto levels = available_levels();
-  const SimdLevel level =
-      levels[static_cast<std::size_t>(GetParam()) % levels.size()];
-  SimConfig cfg;
-  cfg.simd = level;
-  SingleSim sim(8, cfg);
+  SingleSim sim(8);
   Rng rng(1234 + static_cast<std::uint64_t>(GetParam()));
 
   Circuit c(8);

@@ -168,9 +168,18 @@ TEST(Shmem, BulkAccountedGetsEqualPerElementGets) {
 }
 
 TEST(Shmem, TranslateRejectsBadPeId) {
+  // A bad PE id is rejected before anything is counted: the traffic
+  // counters and the per-destination row stay untouched.
   Runtime rt(2, 1 << 12);
   EXPECT_THROW(rt.run([&](Ctx& ctx) {
                  double* p = ctx.malloc_sym<double>(4);
+                 EXPECT_THROW(ctx.p(p, 1.0, -1), Error);
+                 EXPECT_THROW(ctx.put(p, p, 4, 2), Error);
+                 EXPECT_EQ(ctx.traffic().bytes_got, 0u);
+                 EXPECT_EQ(ctx.traffic().bytes_put, 0u);
+                 for (const std::uint64_t b : ctx.dest_bytes()) {
+                   EXPECT_EQ(b, 0u);
+                 }
                  ctx.g(p, 2);
                }),
                Error);
